@@ -218,6 +218,12 @@ fn expand_lanes(
                 lane.regime.label()
             )));
         }
+        if lane.faulty.len() > lane.f {
+            return Err(SpecError::new(format!(
+                "serve lane {index}: faulty set {:?} has more than f = {} nodes",
+                lane.faulty, lane.f
+            )));
+        }
         let mut faulty = NodeSet::new();
         for &node in &lane.faulty {
             if node >= lane.n {
@@ -822,6 +828,19 @@ mod tests {
         let mut bad = spec.clone();
         bad.serve.as_mut().unwrap().lanes[0].faulty = vec![99];
         assert!(run_serve(&bad, 1).is_err());
+    }
+
+    #[test]
+    fn serve_rejects_more_faulty_nodes_than_f() {
+        let mut spec = serve_spec();
+        let lane = &mut spec.serve.as_mut().unwrap().lanes[0];
+        lane.faulty = (0..=lane.f).collect();
+        let err = run_serve(&spec, 1).unwrap_err().to_string();
+        assert!(err.contains("more than f = "), "{err}");
+        // Exactly f faulty nodes stays in the model.
+        let lane = &mut spec.serve.as_mut().unwrap().lanes[0];
+        lane.faulty.pop();
+        assert!(run_serve(&spec, 1).is_ok());
     }
 
     #[test]

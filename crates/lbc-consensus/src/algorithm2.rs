@@ -29,7 +29,7 @@
 //! (common) communication graph, so every node would otherwise recompute
 //! the same max-flow results.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
 
 use lbc_graph::{paths, Graph};
@@ -155,8 +155,16 @@ impl Algorithm2Node {
     }
 
     /// Definition C.1: whether this node reliably received input value
-    /// `value` from node `origin` in phase 1.
-    fn reliably_received_input(&self, ctx: &NodeContext<'_>, origin: NodeId, value: Value) -> bool {
+    /// `value` from node `origin` in phase 1. The relayed case is decided on
+    /// interned relay ids ([`LedgerFlooder::has_disjoint_relays`]);
+    /// `scratch` is a reusable relay buffer.
+    fn reliably_received_input(
+        &self,
+        ctx: &NodeContext<'_>,
+        origin: NodeId,
+        value: Value,
+        scratch: &mut Vec<PathId>,
+    ) -> bool {
         let Some(flood) = &self.value_flood else {
             return false;
         };
@@ -171,16 +179,16 @@ impl Algorithm2Node {
             let relay = ctx.arena.borrow().find_child(PathId::EMPTY, origin);
             return relay.is_some_and(|relay| flood.value_along_relay(relay) == Some(value));
         }
-        let candidates = flood.paths_with_value(origin, value);
-        paths::find_internally_disjoint_subset(&candidates, ctx.f + 1).is_some()
+        flood.has_disjoint_relays(origin, value, ctx.f + 1, scratch)
     }
 
     /// The set of `(origin, value)` pairs reliably received in phase 1.
     fn reliably_received_inputs(&self, ctx: &NodeContext<'_>) -> Vec<(NodeId, Value)> {
         let mut received = Vec::new();
+        let mut scratch = Vec::new();
         for origin in ctx.graph.nodes() {
             for value in [Value::Zero, Value::One] {
-                if self.reliably_received_input(ctx, origin, value) {
+                if self.reliably_received_input(ctx, origin, value, &mut scratch) {
                     received.push((origin, value));
                 }
             }
@@ -216,8 +224,8 @@ impl Algorithm2Node {
                 .as_ref()
                 .is_some_and(|flood| flood.overheard_exactly(observed, observed_path, value));
         }
-        let candidates = self.reports.full_paths(ctx, observed, value, observed_path);
-        paths::find_internally_disjoint_subset(&candidates, ctx.f + 1).is_some()
+        self.reports
+            .has_disjoint_relays(ctx, observed, value, observed_path, ctx.f + 1)
     }
 
     /// The `2f` node-disjoint `origin → other` paths inspected by the fault
@@ -494,26 +502,24 @@ struct ReportFlood {
     /// Per-node first values that diverge from the shared record (empty
     /// under local broadcast; see the ledger module docs).
     overrides: FxHashMap<u32, Value>,
-    /// Lazily built stream index and per-stream resolved paths (interior
-    /// mutability: queries run behind `&self` during fault identification).
-    /// Nothing is indexed or resolved until the first stream query — most
-    /// executions query few or no streams (neighbors are checked by direct
-    /// overhearing), and eagerly indexing the accepted records measurably
-    /// dominated identification.
+    /// Lazily built stream index (interior mutability: queries run behind
+    /// `&self` during fault identification). Nothing is indexed until the
+    /// first stream query — most executions query few or no streams
+    /// (neighbors are checked by direct overhearing), and eagerly indexing
+    /// the accepted records measurably dominated identification.
     streams: RefCell<StreamIndex>,
     /// Scratch buffer for [`validate_path`] (avoids per-message allocation).
     validate_scratch: Vec<PathId>,
 }
 
-/// Lazily built index of accepted report records by stream; see
-/// [`ReportFlood::full_paths`].
+/// Lazily built index of accepted report relays by stream; see
+/// [`ReportFlood::has_disjoint_relays`].
 #[derive(Debug, Clone, Default)]
 struct StreamIndex {
     built: bool,
-    /// `(observed, value, observed_path)` → accepted record indices.
-    by_stream: FxHashMap<(NodeId, Value, PathId), Vec<u32>>,
-    /// Resolved full `observed → me` paths per *queried* stream.
-    resolved: FxHashMap<(NodeId, Value, PathId), Rc<Vec<Path>>>,
+    /// `(observed, value, observed_path)` → the interned relay ids the
+    /// report arrived along (the full `observed → me` paths minus `me`).
+    by_stream: FxHashMap<(NodeId, Value, PathId), Vec<PathId>>,
 }
 
 impl ReportFlood {
@@ -694,26 +700,17 @@ impl ReportFlood {
         }
     }
 
-    /// The full `observed → me` paths the report `(observed, value,
-    /// observed_path)` arrived along, in arrival order. The stream index is
-    /// built from the accepted records on the first query of the execution,
-    /// and each queried stream's paths resolve once and are cached — an
-    /// execution that never asks (every reliably-received check answered by
-    /// direct overhearing) pays nothing.
-    fn full_paths(
-        &self,
-        ctx: &NodeContext<'_>,
-        observed: NodeId,
-        value: Value,
-        observed_path: PathId,
-    ) -> Rc<Vec<Path>> {
-        let Some(channel) = self.channel else {
-            return Rc::new(Vec::new()); // no report was ever processed
-        };
+    /// The stream index, built from the accepted records on the first call
+    /// after a report was processed.
+    fn streams(&self, ledger: &SharedFloodLedger) -> RefMut<'_, StreamIndex> {
         let mut streams = self.streams.borrow_mut();
+        // Without a channel no report was ever processed: nothing to index.
+        let Some(channel) = self.channel else {
+            return streams;
+        };
         if !streams.built {
             streams.built = true;
-            let ledger = ctx.ledger.borrow();
+            let ledger = ledger.borrow();
             for &index in &self.accepted {
                 let record = ledger.record(channel, index);
                 let accepted_value = self.overrides.get(&index).copied().unwrap_or(record.value);
@@ -721,32 +718,33 @@ impl ReportFlood {
                     .by_stream
                     .entry((record.observed, accepted_value, record.observed_path))
                     .or_default()
-                    .push(index);
+                    .push(record.relay);
             }
         }
-        let key = (observed, value, observed_path);
-        if let Some(found) = streams.resolved.get(&key) {
-            return Rc::clone(found);
-        }
-        let resolved = match streams.by_stream.get(&key) {
-            Some(indices) => {
-                let arena = ctx.arena.borrow();
-                let ledger = ctx.ledger.borrow();
-                Rc::new(
-                    indices
-                        .iter()
-                        .map(|&index| {
-                            let mut nodes = arena.nodes(ledger.record(channel, index).relay);
-                            nodes.push(ctx.id);
-                            Path::from_nodes(nodes)
-                        })
-                        .collect::<Vec<Path>>(),
-                )
-            }
-            None => Rc::new(Vec::new()),
-        };
-        streams.resolved.insert(key, Rc::clone(&resolved));
-        resolved
+        streams
+    }
+
+    /// Reliable receive of the report `(observed, value, observed_path)`:
+    /// whether it arrived along `k` pairwise internally disjoint full
+    /// `observed → me` paths. The stream's relay ids go straight to
+    /// [`PathArena::has_internally_disjoint`]: accepted report relays are
+    /// simple by rule (i) and avoid this node by rule (iii), the kernel's
+    /// preconditions. An execution that never asks (every check answered
+    /// by direct overhearing) never builds the index.
+    fn has_disjoint_relays(
+        &self,
+        ctx: &NodeContext<'_>,
+        observed: NodeId,
+        value: Value,
+        observed_path: PathId,
+        k: usize,
+    ) -> bool {
+        let mut streams = self.streams(ctx.ledger);
+        let relays = streams
+            .by_stream
+            .get_mut(&(observed, value, observed_path))
+            .map_or(&mut [][..], Vec::as_mut_slice);
+        ctx.arena.borrow().has_internally_disjoint(relays, k)
     }
 }
 
@@ -856,6 +854,22 @@ mod tests {
         }
     }
 
+    /// The relay ids a report flood indexed for one stream.
+    fn stream_relays(
+        flood: &ReportFlood,
+        ledger: &SharedFloodLedger,
+        observed: NodeId,
+        value: Value,
+        observed_path: PathId,
+    ) -> Vec<PathId> {
+        flood
+            .streams(ledger)
+            .by_stream
+            .get(&(observed, value, observed_path))
+            .cloned()
+            .unwrap_or_default()
+    }
+
     #[test]
     fn round_count_is_linear() {
         assert_eq!(Algorithm2Node::round_count(5), 15);
@@ -923,13 +937,16 @@ mod tests {
         assert!(flood
             .process(&arena, &ledger, &graph, n(2), n(1), &report)
             .is_none());
+        // The stream indexes the relay [0, 1]: full path 0 → 1 → 2.
         let ctx = ctx_at(n(2), &graph, &arena, &ledger);
-        let full = flood.full_paths(&ctx, n(0), Value::Zero, observed_path);
-        assert_eq!(full.len(), 1);
-        assert_eq!(full[0].nodes(), &[n(0), n(1), n(2)]);
-        assert!(flood
-            .full_paths(&ctx, n(0), Value::One, observed_path)
-            .is_empty());
+        assert_eq!(
+            stream_relays(&flood, &ledger, n(0), Value::Zero, observed_path),
+            vec![intern(&arena, &[0, 1])]
+        );
+        assert!(stream_relays(&flood, &ledger, n(0), Value::One, observed_path).is_empty());
+        assert!(flood.has_disjoint_relays(&ctx, n(0), Value::Zero, observed_path, 1));
+        assert!(!flood.has_disjoint_relays(&ctx, n(0), Value::Zero, observed_path, 2));
+        assert!(!flood.has_disjoint_relays(&ctx, n(0), Value::One, observed_path, 1));
     }
 
     #[test]
@@ -954,26 +971,14 @@ mod tests {
         assert!(at_node0
             .process(&arena, &ledger, &graph, n(0), n(1), &report)
             .is_some());
-        assert_eq!(
-            at_node2.full_paths(
-                &ctx_at(n(2), &graph, &arena, &ledger),
-                n(1),
-                Value::One,
-                observed_path
-            )[0]
-            .nodes(),
-            &[n(1), n(2)]
-        );
-        assert_eq!(
-            at_node0.full_paths(
-                &ctx_at(n(0), &graph, &arena, &ledger),
-                n(1),
-                Value::One,
-                observed_path
-            )[0]
-            .nodes(),
-            &[n(1), n(0)]
-        );
+        // The same shared relay [1] reaches each receiver as its own full
+        // path (1 → 2 and 1 → 0).
+        for flood in [&at_node2, &at_node0] {
+            assert_eq!(
+                stream_relays(flood, &ledger, n(1), Value::One, observed_path),
+                vec![intern(&arena, &[1])]
+            );
+        }
     }
 
     #[test]

@@ -50,7 +50,6 @@
 //! blocks one of the only two disjoint paths) and their majorities can
 //! split — the violation the async boundary campaign reproduces on cycles.
 
-use lbc_graph::paths;
 use lbc_model::{NodeId, PathId, Round, Value};
 use lbc_sim::{Inbox, NodeContext, Outgoing, Protocol};
 
@@ -169,7 +168,22 @@ impl AsyncFloodNode {
     /// Definition C.1, regime-free: whether this node reliably received
     /// `value` from `origin` — directly for itself and its neighbors, along
     /// `f + 1` internally-disjoint paths otherwise.
-    fn reliably_received(&self, ctx: &NodeContext<'_>, origin: NodeId, value: Value) -> bool {
+    ///
+    /// The relayed case runs on interned relay ids
+    /// ([`LedgerFlooder::has_disjoint_relays`]): an accepted relay is simple
+    /// (rule (i)) and avoids this node (rule (iii)), so its member bitset
+    /// minus its head is the internal node set of the full path
+    /// `relay‑me`. Whether `f + 1` pairwise internally disjoint relays exist
+    /// does not depend on the search order, so the reliable set — and with
+    /// it the decision and its evidence — equals the reference search over
+    /// materialized paths. `scratch` is a reusable relay buffer.
+    fn reliably_received(
+        &self,
+        ctx: &NodeContext<'_>,
+        origin: NodeId,
+        value: Value,
+        scratch: &mut Vec<PathId>,
+    ) -> bool {
         let Some(flood) = &self.flooder else {
             return false;
         };
@@ -180,17 +194,17 @@ impl AsyncFloodNode {
             let relay = ctx.arena.borrow().find_child(PathId::EMPTY, origin);
             return relay.is_some_and(|relay| flood.value_along_relay(relay) == Some(value));
         }
-        let candidates = flood.paths_with_value(origin, value);
-        paths::find_internally_disjoint_subset(&candidates, ctx.f + 1).is_some()
+        flood.has_disjoint_relays(origin, value, ctx.f + 1, scratch)
     }
 
     /// Runs the decision rule: majority of the reliably received values,
     /// falling back to the node's own input on a tie or an empty set.
     fn decide(&mut self, ctx: &NodeContext<'_>) {
         let mut reliable = Vec::new();
+        let mut scratch = Vec::new();
         for origin in ctx.graph.nodes() {
             for value in [Value::Zero, Value::One] {
-                if self.reliably_received(ctx, origin, value) {
+                if self.reliably_received(ctx, origin, value, &mut scratch) {
                     reliable.push((origin, value));
                 }
             }

@@ -39,6 +39,22 @@
 //!
 //! All three must behave byte-identically; the `flood_equivalence`
 //! integration test enforces the full three-way ladder.
+//!
+//! # Reliable receive
+//!
+//! Definition C.1 accepts `(u, b)` at `v` when `b` arrived along `f + 1`
+//! internally disjoint `u → v` paths. The production engine answers this on
+//! the relay ids it already indexes
+//! ([`LedgerFlooder::has_disjoint_relays`], backed by
+//! [`PathArena::has_internally_disjoint`]) instead of materializing paths:
+//! every indexed relay passed rule (i), so it is simple, and rule (iii), so
+//! it avoids `v`; the internal nodes of the full path `relay‑v` are then
+//! exactly the relay's memoized members minus its first node, and each
+//! pairwise disjointness test is a word-level AND. Whether a pairwise
+//! compatible `(f + 1)`-subset exists does not depend on the order the
+//! search visits candidates in, so the answer equals the reference search
+//! (`lbc_graph::paths::find_internally_disjoint_subset` over
+//! [`LedgerFlooder::paths_with_value`]), which the property tests check.
 
 use std::collections::BTreeMap;
 
@@ -751,10 +767,11 @@ impl LedgerFlooder {
     }
 
     /// The value of an *indexed* (accepted) relay id.
-    fn relay_value(&self, arena: &PathArena, relay: PathId) -> Option<Value> {
-        match arena.step(relay) {
-            None => self.own_value,
-            Some(_) => Some(self.seen_value(relay)),
+    fn relay_value(&self, relay: PathId) -> Option<Value> {
+        if relay.is_empty() {
+            self.own_value
+        } else {
+            Some(self.seen_value(relay))
         }
     }
 
@@ -774,9 +791,7 @@ impl LedgerFlooder {
             .relay_ids_from(origin)
             .iter()
             .map(|id| {
-                let value = self
-                    .relay_value(&arena, *id)
-                    .expect("indexed relay has a value");
+                let value = self.relay_value(*id).expect("indexed relay has a value");
                 (self.resolve_full(&arena, *id), value)
             })
             .collect();
@@ -786,17 +801,48 @@ impl LedgerFlooder {
 
     /// The full paths from `origin` along which this node received `value`,
     /// in lexicographic path order; see [`Flooder::paths_with_value`].
+    /// Materializes every path: the reference oracle that tests hold
+    /// [`LedgerFlooder::has_disjoint_relays`] against, not a decision path.
     #[must_use]
     pub fn paths_with_value(&self, origin: NodeId, value: Value) -> Vec<Path> {
         let arena = self.arena.borrow();
         let mut paths: Vec<Path> = self
             .relay_ids_from(origin)
             .iter()
-            .filter(|id| self.relay_value(&arena, **id) == Some(value))
+            .filter(|id| self.relay_value(**id) == Some(value))
             .map(|id| self.resolve_full(&arena, *id))
             .collect();
         paths.sort();
         paths
+    }
+
+    /// Reliable receive (Definition C.1), relayed case: whether `value`
+    /// arrived from `origin` along `k` pairwise internally disjoint full
+    /// paths `relay‑me`.
+    ///
+    /// Decided on the indexed relay ids by
+    /// [`PathArena::has_internally_disjoint`]. Every indexed relay passed
+    /// rule (i), so it is simple, and rule (iii), so it avoids this node;
+    /// its members minus its head are therefore exactly the internal nodes
+    /// of its full path, and the answer equals
+    /// `find_internally_disjoint_subset(&paths_with_value(origin, value), k)`
+    /// without materializing a path. `scratch` receives the value-filtered
+    /// relays; callers reuse one buffer across queries.
+    pub fn has_disjoint_relays(
+        &self,
+        origin: NodeId,
+        value: Value,
+        k: usize,
+        scratch: &mut Vec<PathId>,
+    ) -> bool {
+        scratch.clear();
+        scratch.extend(
+            self.relay_ids_from(origin)
+                .iter()
+                .copied()
+                .filter(|&relay| self.relay_value(relay) == Some(value)),
+        );
+        self.arena.borrow().has_internally_disjoint(scratch, k)
     }
 
     /// The full paths from `origin` delivering `value` that *exclude* the
@@ -813,7 +859,7 @@ impl LedgerFlooder {
             .relay_ids_from(origin)
             .iter()
             .filter(|id| {
-                self.relay_value(&arena, **id) == Some(value) && arena.tail_excludes(**id, exclude)
+                self.relay_value(**id) == Some(value) && arena.tail_excludes(**id, exclude)
             })
             .map(|id| self.resolve_full(&arena, *id))
             .collect();

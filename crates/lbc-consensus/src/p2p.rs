@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use lbc_model::{NodeId, Round, Value};
+use lbc_model::{NodeId, PathId, Round, Value};
 use lbc_sim::{ByzantineMessage, Delivery, Inbox, MessageView, NodeContext, Outgoing, Protocol};
 
 use crate::flooding::{LedgerFlooder, TAG_VALUE};
@@ -179,12 +179,14 @@ impl P2pBaselineNode {
 
     /// Definition-C.1-style acceptance for the just-finished step: the values
     /// accepted per origin (own value, direct neighbor transmission, or an
-    /// identical copy along `f + 1` internally-disjoint paths).
+    /// identical copy along `f + 1` internally-disjoint paths, decided on
+    /// interned relay ids by [`LedgerFlooder::has_disjoint_relays`]).
     fn accepted_values(&self, ctx: &NodeContext<'_>) -> BTreeMap<NodeId, Value> {
         let mut accepted = BTreeMap::new();
         let Some(flooder) = &self.flooder else {
             return accepted;
         };
+        let mut scratch = Vec::new();
         for origin in ctx.graph.nodes() {
             if origin == ctx.id {
                 if let Some(v) = flooder.own_value() {
@@ -192,16 +194,17 @@ impl P2pBaselineNode {
                 }
                 continue;
             }
+            // The one-hop relay `[origin]`, present when `origin` is a
+            // neighbor whose transmission this node heard directly.
+            let one_hop = ctx
+                .graph
+                .has_edge(ctx.id, origin)
+                .then(|| ctx.arena.borrow().find_child(PathId::EMPTY, origin))
+                .flatten();
             for value in [Value::Zero, Value::One] {
-                let candidates = flooder.paths_with_value(origin, value);
-                let direct = ctx.graph.has_edge(ctx.id, origin)
-                    && candidates
-                        .iter()
-                        .any(|p| p.len() == 2 && p.first() == Some(origin));
-                let relayed =
-                    lbc_graph::paths::find_internally_disjoint_subset(&candidates, ctx.f + 1)
-                        .is_some();
-                if direct || relayed {
+                let direct =
+                    one_hop.is_some_and(|relay| flooder.value_along_relay(relay) == Some(value));
+                if direct || flooder.has_disjoint_relays(origin, value, ctx.f + 1, &mut scratch) {
                     accepted.insert(origin, value);
                     break;
                 }

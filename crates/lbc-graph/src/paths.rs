@@ -277,8 +277,13 @@ pub fn all_simple_paths(graph: &Graph, u: NodeId, v: NodeId) -> Vec<Path> {
 ///
 /// Unlike the flow-based functions above, the candidate set here is an
 /// arbitrary explicit list (the messages a node actually received), so we use
-/// an exact search: order shortest-first and backtrack. The candidate lists
-/// are small on the graph sizes the exponential algorithm is run on.
+/// an exact search: order shortest-first and backtrack.
+///
+/// This is the *reference oracle* of the disjoint-path searches: it runs on
+/// owned [`Path`]s and builds a [`NodeSet`] per pairwise test. The consensus
+/// protocols decide reliable receive with the allocation-free kernel
+/// `lbc_model::PathArena::has_internally_disjoint` on interned relay ids, and
+/// the property tests hold that kernel against this search.
 fn find_compatible_subset(
     candidates: &[Path],
     k: usize,
@@ -354,7 +359,9 @@ pub fn find_disjoint_subset(
 /// received along `f+1` node-disjoint `uv`-paths" check of Definition C.1.
 ///
 /// Returns a witness family of `k` pairwise internally disjoint paths if one
-/// exists.
+/// exists. Reference oracle only (see `find_compatible_subset`): production
+/// decisions use `lbc_model::PathArena::has_internally_disjoint`, which
+/// answers the same existence question on interned relay ids.
 #[must_use]
 pub fn find_internally_disjoint_subset(candidates: &[Path], k: usize) -> Option<Vec<Path>> {
     find_compatible_subset(candidates, k, Path::internally_disjoint)

@@ -382,6 +382,89 @@ impl PathArena {
         true
     }
 
+    /// Whether `k` of the stored `relays` have pairwise internally disjoint
+    /// full paths `relay‑v`, for a receiver `v` on none of them — the
+    /// "received along `f + 1` internally disjoint paths" test of
+    /// Definition C.1, decided on interned ids.
+    ///
+    /// The internal nodes of `relay‑v` are the relay's memoized members minus
+    /// the relay's first node: rule (iii) keeps the receiver off every
+    /// accepted relay, and rule (i) makes every accepted relay simple, so no
+    /// endpoint also occurs internally. Each pairwise test is therefore a
+    /// word-level AND of two member bitsets with the two first nodes masked
+    /// out, and the search backtracks shortest-first against the relays
+    /// already chosen, with no `Path` materialization and no allocation.
+    ///
+    /// Reorders `relays` shortest-first (the search order). Whether a
+    /// pairwise-compatible `k`-subset exists does not depend on that order,
+    /// so the answer equals the reference search over the materialized
+    /// paths (`lbc_graph::paths::find_internally_disjoint_subset`).
+    pub fn has_internally_disjoint(&self, relays: &mut [PathId], k: usize) -> bool {
+        debug_assert!(
+            relays.iter().all(|&relay| self.is_simple(relay)),
+            "accepted relays are simple (rule (i))"
+        );
+        if k == 0 {
+            return true;
+        }
+        if relays.len() < k {
+            return false;
+        }
+        relays.sort_unstable_by_key(|&relay| self.entry(relay).len);
+        self.disjoint_search(relays, k, None)
+    }
+
+    /// Backtracking step of [`PathArena::has_internally_disjoint`]: whether
+    /// `k` more relays of `candidates` are pairwise compatible with each
+    /// other and with every relay on the `chosen` stack.
+    fn disjoint_search(&self, candidates: &[PathId], k: usize, chosen: Option<&Chosen>) -> bool {
+        if k == 0 {
+            return true;
+        }
+        for (pos, &relay) in candidates.iter().enumerate() {
+            if candidates.len() - pos < k {
+                return false;
+            }
+            let compatible = std::iter::successors(chosen, |link| link.rest)
+                .all(|link| self.relays_internally_disjoint(link.relay, relay));
+            if compatible {
+                let link = Chosen {
+                    relay,
+                    rest: chosen,
+                };
+                if self.disjoint_search(&candidates[pos + 1..], k - 1, Some(&link)) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Whether the full paths `a‑v` and `b‑v` share no internal node: the
+    /// relays' member words, each minus its first node, are disjoint.
+    fn relays_internally_disjoint(&self, a: PathId, b: PathId) -> bool {
+        let (entry_a, entry_b) = (self.entry(a), self.entry(b));
+        let first_bit = |first: NodeId, word_index: usize| {
+            let index = first.index();
+            if index / 64 == word_index {
+                1u64 << (index % 64)
+            } else {
+                0
+            }
+        };
+        let words_a = entry_a.members.as_words();
+        let words_b = entry_b.members.as_words();
+        words_a
+            .iter()
+            .zip(words_b)
+            .enumerate()
+            .all(|(word_index, (wa, wb))| {
+                let heads =
+                    first_bit(entry_a.first, word_index) | first_bit(entry_b.first, word_index);
+                wa & wb & !heads == 0
+            })
+    }
+
     /// Compares two interned paths by their node sequences in forward
     /// lexicographic order (the order `Path`'s derived `Ord` uses), without
     /// materializing either sequence.
@@ -447,6 +530,14 @@ impl PathArena {
     pub fn resolve(&self, id: PathId) -> Path {
         Path::from_nodes(self.nodes(id))
     }
+}
+
+/// One relay on the backtracking stack of
+/// [`PathArena::has_internally_disjoint`]: a linked list through the
+/// search's stack frames, so the chosen set needs no heap storage.
+struct Chosen<'a> {
+    relay: PathId,
+    rest: Option<&'a Chosen<'a>>,
 }
 
 /// A clonable handle to a [`PathArena`] shared by every node of a simulated
@@ -644,6 +735,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn has_internally_disjoint_ignores_the_relay_heads() {
+        // Relays from origin 0 towards a receiver off every relay; node 70
+        // puts the member sets across two words.
+        let mut arena = PathArena::new();
+        let via_1 = arena.intern(&p(&[0, 1]));
+        let via_70 = arena.intern(&p(&[0, 70]));
+        let via_1_2 = arena.intern(&p(&[0, 1, 2]));
+        let via_3_70 = arena.intern(&p(&[0, 3, 70]));
+        let mut relays = [via_1_2, via_3_70, via_1, via_70];
+        assert!(arena.has_internally_disjoint(&mut relays, 0));
+        assert!(arena.has_internally_disjoint(&mut relays, 2));
+        assert!(!arena.has_internally_disjoint(&mut relays, 3));
+        // Shortest first: the search order, not the answer.
+        assert_eq!(arena.len(relays[0]), 2);
+        assert!(!arena.has_internally_disjoint(&mut [via_1, via_1_2], 2));
+        assert!(!arena.has_internally_disjoint(&mut [via_70, via_3_70], 2));
+        assert!(arena.has_internally_disjoint(&mut [via_1_2, via_3_70], 2));
+        // Relays from different heads: each head is exempt only on its own
+        // relay, so node 0 inside [5, 0, 6] conflicts with nothing here
+        // while node 1 does.
+        let other_head = arena.intern(&p(&[5, 0, 6]));
+        assert!(arena.has_internally_disjoint(&mut [via_1_2, other_head], 2));
+        let through_1 = arena.intern(&p(&[5, 1, 6]));
+        assert!(!arena.has_internally_disjoint(&mut [via_1_2, through_1], 2));
+        assert!(!arena.has_internally_disjoint(&mut [], 1));
     }
 
     #[test]

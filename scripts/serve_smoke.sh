@@ -5,7 +5,9 @@
 # reports across worker counts, and asserts the report's own verdicts:
 # every instance correct and the per-tag ledger-channel occupancy bounded
 # (<= 2 live / <= 3 allocated — the chained driver must retire instance
-# k-2's session as instance k starts, not accumulate channels).
+# k-2's session as instance k starts, not accumulate channels). Finally
+# checks that a lane with more than f faulty nodes and a malformed spec are
+# both rejected with exit 2.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,4 +46,55 @@ assert instances == expected, f"{instances} instance records, expected {expected
 print(f"report verdicts ok: {instances} instances, channels bounded in every lane")
 EOF
 
-echo "serve smoke OK: strict verdicts + byte-identical reports at 1/2/8 workers + bounded channels"
+# Negative cases: a spec outside the model or not a spec at all must be
+# rejected before any instance runs, with exit 2 and a named error.
+expect_exit_2() {
+  local label="$1" spec="$2" pattern="$3"
+  local code=0
+  ./target/release/lbc serve "$spec" --strict --quiet --out "$OUT/rejected" \
+    2> "$OUT/$label.stderr" || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "serve on $label spec exited $code, want 2" >&2
+    cat "$OUT/$label.stderr" >&2
+    exit 1
+  fi
+  if ! grep -q -- "$pattern" "$OUT/$label.stderr"; then
+    echo "serve on $label spec: error does not mention '$pattern'" >&2
+    cat "$OUT/$label.stderr" >&2
+    exit 1
+  fi
+}
+
+cat > "$OUT/over_f.json" <<'EOF'
+{
+  "name": "serve-over-f",
+  "seed": 1,
+  "sweeps": [],
+  "serve": {
+    "instances": 3,
+    "lanes": [
+      {
+        "family": {"kind": "fig1b"},
+        "n": 9,
+        "f": 1,
+        "algorithm": "async",
+        "regime": "sync",
+        "strategy": "silent",
+        "faulty": [3, 4, 5],
+        "inputs": {"policy": "random", "count": 4}
+      }
+    ]
+  }
+}
+EOF
+expect_exit_2 over_f "$OUT/over_f.json" "more than f = 1"
+
+printf '{"name": "serve-malformed", "serve": {' > "$OUT/malformed.json"
+expect_exit_2 malformed "$OUT/malformed.json" "spec error"
+if [ -e "$OUT/rejected" ]; then
+  echo "a rejected serve spec wrote output" >&2
+  exit 1
+fi
+echo "rejected specs ok: more than f faulty nodes and malformed JSON exit 2"
+
+echo "serve smoke OK: strict verdicts + byte-identical reports at 1/2/8 workers + bounded channels + rejected specs"

@@ -18,7 +18,9 @@
 //!                                  cells are journaled so a killed run can be
 //!                                  continued byte-identically with --resume.
 //!                                  exit codes: 0 clean, 1 violations under
-//!                                  --strict, 2 infrastructure failures
+//!                                  --strict, 2 infrastructure failures or a
+//!                                  spec that cannot be read, parsed or
+//!                                  expanded
 //! lbc campaign diff [--cross-spec] <old.json> <new.json>
 //!                                  compare two canonical reports (campaign or
 //!                                  search) cell-by-cell; exit non-zero on
@@ -33,7 +35,9 @@
 //!                                  deterministic) and <name>.serve.report.csv
 //!                                  (per-instance latencies). exit codes:
 //!                                  0 clean, 1 incorrect instances under
-//!                                  --strict, 2 unbounded ledger channels
+//!                                  --strict, 2 unbounded ledger channels or
+//!                                  a spec that cannot be read, parsed or
+//!                                  expanded (e.g. more than f faulty nodes)
 //! lbc search <spec.json> [--workers N] [--out DIR] [--resume REPORT]
 //!            [--require-violation] [--list]
 //!                                  per-cell worst-case adversary search; writes
@@ -114,7 +118,7 @@ fn parse_strategy(name: &str) -> Option<Strategy> {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  lbc check <graph> <f> [t]\n  lbc run <alg1|alg2|alg3|p2p|async> <graph> <f> <faulty-node> <strategy>\n  lbc impossibility <graph> <f>\n  lbc experiments [E1..E8]\n  lbc campaign <spec.json> [--workers N] [--out DIR] [--strict] [--quiet] [--telemetry] [--list]\n               [--cell-timeout MS] [--resume]\n  lbc serve <spec.json> [--instances N] [--workers N] [--out DIR] [--strict] [--quiet] [--list]\n  lbc trace <spec.json> --cell <id> [--no-timeline]\n  lbc campaign diff [--cross-spec] <old.report.json> <new.report.json>\n  lbc search <spec.json> [--workers N] [--out DIR] [--resume REPORT] [--require-violation] [--quiet] [--list]\n  lbc graphs\n\nstrategies: honest silent tamper-all tamper-relays equivocate random sleeper straddle-tamper gst-equivocate crash-recover\ngraphs: c<N> k<N> circ<N> wheel<N> path<N> q3 fig1a fig1b\nregimes (spec files): sync | {{\"kind\": \"async\", ...}} | {{\"kind\": \"partial-sync\", \"gst\": G, \"hold\": [..], ...}}\n\ncampaign exit codes: 0 = clean run, 1 = consensus violations under --strict,\n  2 = infrastructure trouble (panicked/timed-out cells, or a usage error)"
+        "usage:\n  lbc check <graph> <f> [t]\n  lbc run <alg1|alg2|alg3|p2p|async> <graph> <f> <faulty-node> <strategy>\n  lbc impossibility <graph> <f>\n  lbc experiments [E1..E8]\n  lbc campaign <spec.json> [--workers N] [--out DIR] [--strict] [--quiet] [--telemetry] [--list]\n               [--cell-timeout MS] [--resume]\n  lbc serve <spec.json> [--instances N] [--workers N] [--out DIR] [--strict] [--quiet] [--list]\n  lbc trace <spec.json> --cell <id> [--no-timeline]\n  lbc campaign diff [--cross-spec] <old.report.json> <new.report.json>\n  lbc search <spec.json> [--workers N] [--out DIR] [--resume REPORT] [--require-violation] [--quiet] [--list]\n  lbc graphs\n\nstrategies: honest silent tamper-all tamper-relays equivocate random sleeper straddle-tamper gst-equivocate crash-recover\ngraphs: c<N> k<N> circ<N> wheel<N> path<N> q3 fig1a fig1b\nregimes (spec files): sync | {{\"kind\": \"async\", ...}} | {{\"kind\": \"partial-sync\", \"gst\": G, \"hold\": [..], ...}}\n\ncampaign exit codes: 0 = clean run, 1 = consensus violations under --strict,\n  2 = infrastructure trouble (panicked/timed-out cells, a malformed spec, or a usage error)\nserve exit codes: 0 = clean run, 1 = incorrect instances under --strict,\n  2 = unbounded ledger channels, or a spec that cannot be read, parsed or expanded"
     );
     ExitCode::from(2)
 }
@@ -597,21 +601,21 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         Ok(text) => text,
         Err(err) => {
             eprintln!("cannot read {spec_path}: {err}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let spec = match CampaignSpec::from_json_text(&text) {
         Ok(spec) => spec,
         Err(err) => {
             eprintln!("{spec_path}: {err}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let (scenarios, notes) = match spec.expand_noted() {
         Ok(expansion) => expansion,
         Err(err) => {
             eprintln!("{spec_path}: {err}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     if list {
@@ -808,14 +812,14 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Ok(text) => text,
         Err(err) => {
             eprintln!("cannot read {spec_path}: {err}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let spec = match CampaignSpec::from_json_text(&text) {
         Ok(spec) => spec,
         Err(err) => {
             eprintln!("{spec_path}: {err}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let Some(serve) = &spec.serve else {
@@ -856,8 +860,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let report = match run_serve_opts(&spec, workers, instances) {
         Ok(report) => report,
         Err(err) => {
+            // Lane expansion rejects the spec before any instance runs.
             eprintln!("{spec_path}: {err}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let out_dir = out_dir.unwrap_or_else(|| PathBuf::from("."));
