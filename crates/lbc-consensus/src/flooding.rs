@@ -38,7 +38,39 @@
 //!   the `naive` benchmark variants.
 //!
 //! All three must behave byte-identically; the `flood_equivalence`
-//! integration test enforces the full three-way ladder.
+//! integration test enforces the full three-way ladder, and
+//! `shared_slot_equivalence` repeats it on shared delivery slots.
+//!
+//! # Broadcast-once resolution
+//!
+//! Under local broadcast every neighbor receives a transmission
+//! identically, so most of what decides a delivery of `(b, Π)` from `u`
+//! belongs to the transmission, not to the receiver. [`LedgerFlooder`]
+//! splits its rules into two stages. **Stage 1** runs once per transmission,
+//! at its first receiver: rule (i), the relay id `Π‑u` (interned, with its
+//! validity memoized), its low member word, and
+//! [`lbc_model::FloodLedger::record_relay`]'s first value. The result goes
+//! into the channel's slot table under the transmission's buffer slot,
+//! verified against the full identity `(u, Π, b)`. **Stage 2** runs per
+//! receiver: the rule-(ii) bit, an override when the receiver's value
+//! differs from the first value, rule (iii) as a register test, and rule
+//! (iv), which reads the relay's origin from the arena entry stage 1 just
+//! touched (keeping it out of the slot entry keeps an entry at 24 bytes). Default `(1, ⊥)` substitutions have no slot and run both stages.
+//!
+//! This matches resolving every delivery from scratch:
+//!
+//! * Everything stage 1 stores is a function of `(u, Π)` and the channel. The
+//!   graph fixes rule (i), the trie fixes the relay and its members, and the
+//!   arena's validity memo depends only on the graph, so setting it for `Π‑u`
+//!   early changes no later answer.
+//! * Stage 1 records the first value eagerly, even when its receiver then
+//!   fails rule (ii), where resolving each delivery from scratch records it
+//!   only after rule (ii) passes. Both leave the ledger in the same state: a
+//!   receiver that fails rule (ii) for relay `R` has seen `R` before, so `R`
+//!   was recorded then and the eager call is a no-op.
+//! * A slot reused by a different transmission fails the key check and is
+//!   resolved afresh. A reused slot with the same key returns what stage 1
+//!   would compute again.
 //!
 //! # Reliable receive
 //!
@@ -60,8 +92,8 @@ use std::collections::BTreeMap;
 
 use lbc_graph::Graph;
 use lbc_model::{
-    ChannelId, DenseBits, NodeId, NodeSet, Path, PathArena, PathId, SharedFloodLedger,
-    SharedPathArena, Value,
+    flood_key, ChannelId, DenseBits, FloodLedger, NodeId, NodeSet, Path, PathArena, PathId,
+    RelayLookup, SharedFloodLedger, SharedPathArena, Value,
 };
 use lbc_sim::{ByzantineMessage, Inbox, Outgoing};
 
@@ -484,9 +516,9 @@ impl Flooder {
 /// speed: each distinct broadcast is recorded **once per execution** in the
 /// shared [`lbc_model::FloodLedger`] (keyed by the interned relay id
 /// `Π‑u`), and per-node rule-(ii) state collapses to a [`DenseBits`] bitset
-/// over relay ids. The first node to process a broadcast inserts the ledger
-/// record; every other receiver pays one dense-array lookup plus bit
-/// operations on memoized bitsets.
+/// over relay ids. The first receiver of a transmission resolves it for all
+/// of them (see [Broadcast-once resolution](self#broadcast-once-resolution));
+/// every other receiver pays one verified slot read plus bit operations.
 ///
 /// Sharing is an optimization, not an assumption: when a node's own first
 /// value for a key differs from the ledger record (possible only under
@@ -633,84 +665,138 @@ impl LedgerFlooder {
         first_round: bool,
         inbox: Inbox<'_, FloodMsg>,
     ) -> Vec<Outgoing<FloodMsg>> {
+        self.on_round_projected(graph, first_round, inbox, |msg| Some(msg))
+    }
+
+    /// [`LedgerFlooder::on_round`] over an inbox of a wider message type:
+    /// `project` picks out the deliveries that belong to this flood (e.g.
+    /// Algorithm 2's phase-1 inputs). The inbox's shared slots are kept, so
+    /// each transmission is still resolved once for all its receivers.
+    pub fn on_round_projected<M>(
+        &mut self,
+        graph: &Graph,
+        first_round: bool,
+        inbox: Inbox<'_, M>,
+        project: impl Fn(&M) -> Option<&FloodMsg>,
+    ) -> Vec<Outgoing<FloodMsg>> {
+        // One arena and one ledger borrow for the whole round. The handles
+        // are cloned so the per-node state below stays mutably reachable.
+        let (arena, ledger) = (self.arena.clone(), self.ledger.clone());
+        let mut arena = arena.borrow_mut();
+        let mut ledger = ledger.borrow_mut();
         let mut out = Vec::new();
-        for delivery in inbox.iter() {
-            out.extend(
-                self.process(graph, delivery.from, &delivery.message)
-                    .map(Outgoing::Broadcast),
-            );
+        for (slot, delivery) in inbox.iter_indexed() {
+            let Some(msg) = project(&delivery.message) else {
+                continue;
+            };
+            let key = flood_key(delivery.from, msg.path, msg.value);
+            let lookup = match ledger.relay_lookup_at_slot(self.channel, slot, key) {
+                Some(lookup) => lookup,
+                None => {
+                    let lookup = self.resolve(&mut arena, &mut ledger, graph, delivery.from, msg);
+                    ledger.cache_relay_slot(self.channel, slot, key, lookup);
+                    lookup
+                }
+            };
+            out.extend(self.accept(&arena, &lookup, msg.value));
         }
         if first_round && !self.defaults_injected {
             self.defaults_injected = true;
             for neighbor in graph.neighbors(self.me) {
-                let initiation_seen = self
-                    .arena
-                    .borrow()
+                let initiation_seen = arena
                     .find_child(PathId::EMPTY, neighbor)
                     .is_some_and(|relay| self.seen.contains(relay.index()));
                 if !initiation_seen {
                     let default = FloodMsg::initiation(Value::DEFAULT_FLOOD);
-                    out.extend(
-                        self.process(graph, neighbor, &default)
-                            .map(Outgoing::Broadcast),
-                    );
+                    let lookup = self.resolve(&mut arena, &mut ledger, graph, neighbor, &default);
+                    out.extend(self.accept(&arena, &lookup, default.value));
                 }
             }
         }
         out
     }
 
-    /// Applies rules (i)–(iv) to a single message received from `from`,
-    /// returning the forward to broadcast, if any.
-    fn process(&mut self, graph: &Graph, from: NodeId, msg: &FloodMsg) -> Option<FloodMsg> {
-        // Rule (i), identical to the per-node engine: validation reads the
+    /// Stage 1, once per transmission: the receiver-independent half of
+    /// rules (i)–(iv) for `msg` transmitted by `from` — rule (i), the relay
+    /// id `Π‑u` with its validity memo and member word, and the
+    /// relay's first value in the ledger (recorded now if this is the first
+    /// transmission of the key anywhere).
+    fn resolve(
+        &mut self,
+        arena: &mut PathArena,
+        ledger: &mut FloodLedger,
+        graph: &Graph,
+        from: NodeId,
+        msg: &FloodMsg,
+    ) -> RelayLookup {
+        // Rule (i): the relay path Π‑u must exist in G; validation reads the
         // arena's shared memo, so the common case is a single array read.
-        let mut arena = self.arena.borrow_mut();
         if !graph.contains_node(from)
-            || !validate_path(&mut arena, &mut self.validate_scratch, graph, msg.path)
+            || !validate_path(arena, &mut self.validate_scratch, graph, msg.path)
             || arena.contains(msg.path, from)
+            || arena
+                .last(msg.path)
+                .is_some_and(|last| !graph.has_edge(last, from))
         {
-            return None;
+            return RelayLookup::INVALID;
         }
-        if let Some(last) = arena.last(msg.path) {
-            if !graph.has_edge(last, from) {
-                return None;
-            }
-        }
-        // Rules (ii) and (iii): the relay id Π‑u *is* the (sender, path)
-        // key, so rule (ii) is one bit test on the per-node bitset. Every
-        // rule-(i)-passing message is recorded, as in the control engines.
         let relay = arena.extended(msg.path, from);
-        if !self.seen.insert(relay.index()) {
-            return None;
-        }
         // Π‑u passed the same checks as Π, so it is a graph path; memoize.
         arena.set_path_validity(relay, true);
-        let contains_me = arena.contains(relay, self.me);
-        let origin = arena.first(relay).expect("relay path contains the sender");
-        drop(arena);
-        // Broadcast-once record: the first receiver anywhere stores the
-        // value; everyone else compares against it. A mismatch (possible
-        // only under equivocation-capable channels) becomes a per-node
-        // override so queries keep answering with *this node's* view.
-        let first = self.ledger.record_relay(self.channel, relay, msg.value);
-        if first != msg.value {
-            self.overrides.insert(relay, msg.value);
+        RelayLookup {
+            valid: true,
+            first: ledger.record_relay(self.channel, relay, msg.value),
+            relay,
+            relay_members_low: arena
+                .members(relay)
+                .as_words()
+                .first()
+                .copied()
+                .unwrap_or(0),
+        }
+    }
+
+    /// Stage 2, per receiver: rules (ii)–(iv) for a resolved transmission
+    /// that delivered `value` to this node; returns the forward, if any.
+    fn accept(
+        &mut self,
+        arena: &PathArena,
+        lookup: &RelayLookup,
+        value: Value,
+    ) -> Option<Outgoing<FloodMsg>> {
+        if !lookup.valid {
+            return None;
+        }
+        // Rule (ii): the relay id Π‑u *is* the (sender, path) key, so rule
+        // (ii) is one bit test. Every rule-(i)-passing message is recorded,
+        // as in the control engines.
+        if !self.seen.insert(lookup.relay.index()) {
+            return None;
+        }
+        // A first value that differs from the ledger's record (possible only
+        // under equivocation-capable channels) becomes a per-node override
+        // so queries keep answering with *this node's* view.
+        if value != lookup.first {
+            self.overrides.insert(lookup.relay, value);
         }
         // Rule (iii): discard if the relay path Π‑u already contains me.
-        if contains_me {
+        if lookup.relay_contains(self.me, || arena.contains(lookup.relay, self.me)) {
             return None;
         }
         // Rule (iv): record the relay in the per-origin index and forward.
-        if self.by_origin.len() <= origin.index() {
-            self.by_origin.resize(origin.index() + 1, Vec::new());
+        let origin = arena
+            .first(lookup.relay)
+            .expect("relay path contains the sender")
+            .index();
+        if self.by_origin.len() <= origin {
+            self.by_origin.resize(origin + 1, Vec::new());
         }
-        self.by_origin[origin.index()].push(relay);
+        self.by_origin[origin].push(lookup.relay);
         self.received_total += 1;
-        Some(FloodMsg {
-            value: msg.value,
-            path: relay,
-        })
+        Some(Outgoing::Broadcast(FloodMsg {
+            value,
+            path: lookup.relay,
+        }))
     }
 
     /// This node's first-received value for a seen relay key (override if

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use lbc_model::{NodeId, PathId, Round, Value};
-use lbc_sim::{ByzantineMessage, Delivery, Inbox, MessageView, NodeContext, Outgoing, Protocol};
+use lbc_sim::{ByzantineMessage, Inbox, MessageView, NodeContext, Outgoing, Protocol};
 
 use crate::flooding::{LedgerFlooder, TAG_VALUE};
 use crate::messages::FloodMsg;
@@ -270,21 +270,15 @@ impl Protocol for P2pBaselineNode {
         let relative = self.round_counter % n;
         self.round_counter += 1;
 
-        // Relay the current step's flood.
+        // Relay the current step's flood, straight off the shared slots.
         let current_step = self.step;
-        let step_inbox: Vec<Delivery<FloodMsg>> = inbox
-            .iter()
-            .filter(|d| d.message.step == current_step)
-            .map(|d| Delivery {
-                from: d.from,
-                message: d.message.inner,
-            })
-            .collect();
         let mut out = Vec::new();
         if let Some(flooder) = self.flooder.as_mut() {
             // No default substitution: silence is legitimate in propose/king
             // steps and handled by the counting rules in vote steps.
-            let forwards = flooder.on_round(ctx.graph, false, Inbox::direct(&step_inbox));
+            let forwards = flooder.on_round_projected(ctx.graph, false, inbox, |message| {
+                (message.step == current_step).then_some(&message.inner)
+            });
             out.extend(forwards.into_iter().map(|o| wrap(o, current_step)));
         }
 

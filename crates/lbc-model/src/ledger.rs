@@ -190,24 +190,130 @@ struct Channel {
     keyed: FxHashMap<ReportKey, u32>,
     /// The keyed records, densely indexed.
     records: Vec<ReportRecord>,
-    /// Per-round slot cache over the simulator's shared round buffer, one
-    /// entry per transmission slot carrying every receiver-independent fact
-    /// a receiver needs (validity, first value, relay id, member word).
-    /// Every receiver of a broadcast sees the same slot, so the first
-    /// receiver's key lookup is reused by all the others as **one cache
-    /// line read** — in particular, a rule-(iii) drop never touches the
-    /// record table or any per-node structure at all. Entries are verified
-    /// against the packed key, so a stale or colliding slot — possible with
-    /// test-local direct inboxes — safely misses.
-    slot_cache: Vec<SlotEntry>,
+    /// Per-transmission resolutions of value floods, keyed by
+    /// [`flood_key`].
+    relay_slots: SlotTable<u64, RelayLookup>,
+    /// Per-transmission resolutions of observation floods.
+    report_slots: SlotTable<ReportKey, ReportLookup>,
 }
 
-/// One slot-cache entry; see `Channel::slot_cache`.
+/// A key-verified table of per-transmission resolutions, indexed by the
+/// transmission's slot in the simulator's shared delivery buffer.
+///
+/// Every receiver of a transmission reads it from the same slot, so the
+/// first receiver's resolution — every receiver-independent fact about the
+/// transmission — is stored under the slot and each later receiver reads it
+/// back with one load. An entry carries the full message identity it was
+/// resolved for, and a lookup whose key differs misses: a slot reused by a
+/// different transmission (the next round of a per-round buffer, a renumbered
+/// chain slot, the positions of two test-local direct inboxes) can only cost
+/// a re-resolution, never yield a wrong answer. That is sound because what a
+/// table stores is a function of the key and the channel alone.
+///
+/// Slots are stored relative to the lowest slot the table has seen, so its
+/// length spans the channel's own transmissions, not the whole buffer.
+#[derive(Debug, Clone)]
+struct SlotTable<K, V> {
+    base: u32,
+    entries: Vec<Option<(K, V)>>,
+}
+
+impl<K, V> Default for SlotTable<K, V> {
+    fn default() -> Self {
+        SlotTable {
+            base: 0,
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq, V: Copy> SlotTable<K, V> {
+    #[inline]
+    fn get(&self, slot: u32, key: &K) -> Option<V> {
+        let offset = slot.checked_sub(self.base)? as usize;
+        match self.entries.get(offset) {
+            Some(Some((stored, value))) if stored == key => Some(*value),
+            _ => None,
+        }
+    }
+
+    fn put(&mut self, slot: u32, key: K, value: V) {
+        if self.entries.is_empty() {
+            self.base = slot;
+        } else if slot < self.base {
+            let shift = (self.base - slot) as usize;
+            self.entries.splice(0..0, std::iter::repeat_n(None, shift));
+            self.base = slot;
+        }
+        let offset = (slot - self.base) as usize;
+        if offset >= self.entries.len() {
+            self.entries.resize(offset + 1, None);
+        }
+        self.entries[offset] = Some((key, value));
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.base = 0;
+    }
+}
+
+/// Whether `node` is set in a memoized low member word; `fallback` answers
+/// for node indices ≥ 64.
+#[inline]
+fn low_word_contains(word: u64, node: NodeId, fallback: impl FnOnce() -> bool) -> bool {
+    if node.index() < 64 {
+        word & (1u64 << node.index()) != 0
+    } else {
+        fallback()
+    }
+}
+
+/// The receiver-independent facts of one value-flood transmission `(b, Π)`
+/// from `u`, as stored by [`FloodLedger::cache_relay_slot`]: everything a
+/// receiver needs to apply rules (ii)–(iv) itself.
 #[derive(Debug, Clone, Copy, Default)]
-struct SlotEntry {
-    generation: u32,
-    key: ReportKey,
-    lookup: ReportLookup,
+pub struct RelayLookup {
+    /// Whether the transmission passed rule (i).
+    pub valid: bool,
+    /// The first value recorded for the relay key (see
+    /// [`FloodLedger::record_relay`]).
+    pub first: Value,
+    /// The interned relay path `Π‑u`.
+    pub relay: PathId,
+    /// First 64 bits of the relay's member bitset (rule (iii) in a register
+    /// test for node indices < 64).
+    pub relay_members_low: u64,
+}
+
+impl RelayLookup {
+    /// The lookup of a transmission that failed rule (i).
+    pub const INVALID: RelayLookup = RelayLookup {
+        valid: false,
+        first: Value::Zero,
+        relay: PathId::EMPTY,
+        relay_members_low: 0,
+    };
+
+    /// Whether `node` is on the relay path, via the memoized low word;
+    /// `fallback` answers for node indices ≥ 64.
+    #[inline]
+    #[must_use]
+    pub fn relay_contains(&self, node: NodeId, fallback: impl FnOnce() -> bool) -> bool {
+        low_word_contains(self.relay_members_low, node, fallback)
+    }
+}
+
+/// Packs a value-flood message identity `(from, Π, b)` into the key its
+/// slot-table entry is verified against.
+///
+/// Collision-free: the path id takes the low 32 bits, the value one bit,
+/// and node indices are bounded by the graph size, far below 2³¹.
+#[inline]
+#[must_use]
+pub fn flood_key(from: NodeId, path: PathId, value: Value) -> u64 {
+    assert!(from.index() < 1 << 31, "node index fits 31 bits");
+    ((from.index() as u64) << 33) | (u64::from(value == Value::One) << 32) | path.index() as u64
 }
 
 /// The receiver-independent facts of one observation-flood broadcast, as
@@ -244,11 +350,7 @@ impl ReportLookup {
     #[inline]
     #[must_use]
     pub fn relay_contains(&self, node: NodeId, fallback: impl FnOnce() -> bool) -> bool {
-        if node.index() < 64 {
-            self.relay_members_low & (1u64 << node.index()) != 0
-        } else {
-            fallback()
-        }
+        low_word_contains(self.relay_members_low, node, fallback)
     }
 }
 
@@ -257,7 +359,8 @@ impl Channel {
         self.relay_first.clear();
         self.keyed.clear();
         self.records.clear();
-        self.slot_cache.clear();
+        self.relay_slots.clear();
+        self.report_slots.clear();
     }
 }
 
@@ -502,58 +605,68 @@ impl FloodLedger {
         Some((index, channel.records[index as usize]))
     }
 
-    /// [`FloodLedger::keyed_record`] accelerated by the per-round slot
-    /// cache: if a previous receiver of round `generation` already resolved
-    /// the broadcast in `slot`, the lookup degenerates to one verified
-    /// cache-line read. Pass `generation == 0` to bypass the cache (e.g.
-    /// when slots are not globally unique). On a cache miss the underlying
-    /// map answers and the slot is (re)filled.
+    /// The resolution a previous receiver stored for the value-flood
+    /// transmission in `slot`, if its key is `key` (see [`flood_key`]).
+    #[inline]
+    #[must_use]
+    pub fn relay_lookup_at_slot(
+        &self,
+        channel: ChannelId,
+        slot: u32,
+        key: u64,
+    ) -> Option<RelayLookup> {
+        self.channels[channel.0 as usize]
+            .relay_slots
+            .get(slot, &key)
+    }
+
+    /// Stores the resolution of the value-flood transmission in `slot` for
+    /// every later receiver.
+    pub fn cache_relay_slot(
+        &mut self,
+        channel: ChannelId,
+        slot: u32,
+        key: u64,
+        lookup: RelayLookup,
+    ) {
+        self.channels[channel.0 as usize]
+            .relay_slots
+            .put(slot, key, lookup);
+    }
+
+    /// [`FloodLedger::keyed_record`] accelerated by the slot table: if a
+    /// previous receiver already resolved the broadcast in `slot`, the
+    /// lookup is one verified read. On a miss the underlying map answers and
+    /// the slot is (re)filled.
     #[must_use]
     pub fn report_lookup_at_slot(
         &mut self,
         channel: ChannelId,
         slot: u32,
-        generation: u32,
         key: &ReportKey,
     ) -> Option<ReportLookup> {
         let slots = &self.channels[channel.0 as usize];
-        if generation != 0 {
-            if let Some(entry) = slots.slot_cache.get(slot as usize) {
-                if entry.generation == generation && entry.key == *key {
-                    return Some(entry.lookup);
-                }
-            }
+        if let Some(lookup) = slots.report_slots.get(slot, key) {
+            return Some(lookup);
         }
         let index = *slots.keyed.get(key)?;
-        Some(self.cache_slot(channel, slot, generation, *key, index))
+        Some(self.cache_slot(channel, slot, *key, index))
     }
 
-    /// Fills the per-round slot cache for the record at `index` (no-op for
-    /// `generation == 0`, which disables caching) and returns its lookup
-    /// view. The single fill path for both the first receiver (after
-    /// [`FloodLedger::insert_keyed`]) and repeat receivers whose cache
-    /// entry was evicted by a newer generation.
+    /// Stores the record at `index` in the slot table and returns its
+    /// lookup view. The single fill path for both the first receiver (after
+    /// [`FloodLedger::insert_keyed`]) and repeat receivers whose slot was
+    /// taken by another transmission.
     pub fn cache_slot(
         &mut self,
         channel: ChannelId,
         slot: u32,
-        generation: u32,
         key: ReportKey,
         index: u32,
     ) -> ReportLookup {
         let channel = &mut self.channels[channel.0 as usize];
         let lookup = ReportLookup::of(index, &channel.records[index as usize]);
-        if generation != 0 {
-            let slot = slot as usize;
-            if slot >= channel.slot_cache.len() {
-                channel.slot_cache.resize(slot + 1, SlotEntry::default());
-            }
-            channel.slot_cache[slot] = SlotEntry {
-                generation,
-                key,
-                lookup,
-            };
-        }
+        channel.report_slots.put(slot, key, lookup);
         lookup
     }
 
@@ -668,11 +781,6 @@ impl SharedFloodLedger {
     /// [`FloodLedger::begin_session`].
     pub fn begin_session(&self) -> u32 {
         self.inner.borrow_mut().begin_session()
-    }
-
-    /// Records a relay-keyed broadcast. See [`FloodLedger::record_relay`].
-    pub fn record_relay(&self, channel: ChannelId, relay: PathId, value: Value) -> Value {
-        self.inner.borrow_mut().record_relay(channel, relay, value)
     }
 
     /// The first value recorded for a relay key. See
@@ -833,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_cache_hits_and_verifies() {
+    fn report_slots_hit_and_verify() {
         let mut ledger = FloodLedger::new();
         let ch = ledger.open(1, 0);
         let key_a = report_key(n(1), pid(2), n(0), pid(1));
@@ -847,29 +955,60 @@ mod tests {
             observed_path: pid(1),
         };
         let index = ledger.insert_keyed(ch, key_a, record);
-        // First receiver fills slot 7 for generation 3.
-        let first = ledger.report_lookup_at_slot(ch, 7, 3, &key_a).unwrap();
+        // First receiver fills slot 7.
+        let first = ledger.report_lookup_at_slot(ch, 7, &key_a).unwrap();
         assert_eq!(first.index, index);
         assert_eq!(first.relay, pid(5));
         assert_eq!(first.relay_members_low, 0b10);
-        // Same slot, same generation, same key: cache hit.
+        // Same slot, same key: a hit.
         assert_eq!(
-            ledger
-                .report_lookup_at_slot(ch, 7, 3, &key_a)
-                .unwrap()
-                .index,
+            ledger.report_lookup_at_slot(ch, 7, &key_a).unwrap().index,
             index
         );
-        // A colliding slot with a different key must not be trusted.
-        assert!(ledger.report_lookup_at_slot(ch, 7, 3, &key_b).is_none());
-        // Generation 0 bypasses the cache entirely.
+        // A colliding slot with an unrecorded key must not be trusted.
+        assert!(ledger.report_lookup_at_slot(ch, 7, &key_b).is_none());
+        // A slot below the first one seen still resolves through the map.
         assert_eq!(
-            ledger
-                .report_lookup_at_slot(ch, 7, 0, &key_a)
-                .unwrap()
-                .index,
+            ledger.report_lookup_at_slot(ch, 2, &key_a).unwrap().index,
             index
         );
+    }
+
+    #[test]
+    fn relay_slots_verify_the_full_message_identity() {
+        let mut ledger = FloodLedger::new();
+        let ch = ledger.open(0, 0);
+        let lookup = RelayLookup {
+            valid: true,
+            first: Value::One,
+            relay: pid(9),
+            relay_members_low: 0b1_0001_0000,
+        };
+        let key = flood_key(n(8), pid(3), Value::One);
+        assert!(ledger.relay_lookup_at_slot(ch, 10, key).is_none());
+        ledger.cache_relay_slot(ch, 10, key, lookup);
+        assert_eq!(
+            ledger.relay_lookup_at_slot(ch, 10, key).unwrap().relay,
+            pid(9)
+        );
+        // The same slot carrying another sender, path or value misses.
+        for other in [
+            flood_key(n(7), pid(3), Value::One),
+            flood_key(n(8), pid(4), Value::One),
+            flood_key(n(8), pid(3), Value::Zero),
+        ] {
+            assert_ne!(other, key);
+            assert!(ledger.relay_lookup_at_slot(ch, 10, other).is_none());
+        }
+        // Slots below the table's base re-base it without losing entries.
+        ledger.cache_relay_slot(ch, 4, key, RelayLookup::INVALID);
+        assert!(!ledger.relay_lookup_at_slot(ch, 4, key).unwrap().valid);
+        assert!(ledger.relay_lookup_at_slot(ch, 10, key).unwrap().valid);
+        // A recycled channel starts with an empty table.
+        let _ = ledger.open(0, 1);
+        let recycled = ledger.open(0, 2);
+        assert_eq!(recycled, ch);
+        assert!(ledger.relay_lookup_at_slot(recycled, 10, key).is_none());
     }
 
     #[test]
@@ -982,7 +1121,10 @@ mod tests {
         let shared = SharedFloodLedger::new();
         let clone = shared.clone();
         let ch = shared.open(0, 0);
-        assert_eq!(clone.record_relay(ch, pid(3), Value::One), Value::One);
+        assert_eq!(
+            clone.borrow_mut().record_relay(ch, pid(3), Value::One),
+            Value::One
+        );
         assert_eq!(shared.relay_value(ch, pid(3)), Some(Value::One));
     }
 }

@@ -77,6 +77,10 @@ pub struct ChainStats {
     pub arena_paths: usize,
     /// Steps in which a retiring instance's tail was still draining.
     pub drained_steps: usize,
+    /// Most transmissions held in a delivery buffer at once. Flat in the
+    /// chain length: a chained buffer keeps only transmissions with
+    /// deliveries still due.
+    pub max_buffered: usize,
 }
 
 /// The previous instance's node set draining its synchronous tail.
@@ -100,8 +104,9 @@ struct AsyncRetiring<P: Protocol> {
 struct AsyncChainState<P: Protocol> {
     config: AsyncRegime,
     pre: Option<AdversarialSchedule>,
-    /// The execution-wide transmission buffer (append-only across the whole
-    /// chain; slots are stable identifiers).
+    /// The chain's transmission buffer. Slots are stable within an
+    /// instance; each handover drops the slots no pending event references
+    /// and renumbers the rest in order (see [`AsyncChainState::compact`]).
     buffer: Vec<Delivery<P::Message>>,
     /// Emitting instance per buffer slot: deliveries route to that
     /// instance's node set only.
@@ -121,6 +126,51 @@ struct AsyncChainState<P: Protocol> {
     cur_report: usize,
     /// The current instance's absolute GST step.
     gst_abs: u64,
+}
+
+impl<P: Protocol> AsyncChainState<P> {
+    /// Drops every buffered transmission that no due or held event
+    /// references and renumbers the survivors in slot order, so the buffer
+    /// holds at most the in-flight tail plus one instance's traffic instead
+    /// of growing with the chain.
+    ///
+    /// The renumbering is monotone, so the per-receiver delivery order (due
+    /// events release sorted by slot), the GST burst order and the per-edge
+    /// FIFO clamps (which are steps, not slots) are unchanged. Slot-keyed
+    /// caches downstream verify every entry against the message identity,
+    /// so a renumbered slot can only miss there.
+    fn compact(&mut self) {
+        let mut live: Vec<u32> = self
+            .due
+            .iter()
+            .flatten()
+            .chain(self.held.iter())
+            .map(|(slot, _)| *slot)
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        if live.len() == self.buffer.len() {
+            return;
+        }
+        let renumber = |slot: &mut u32| {
+            *slot = live.binary_search(slot).expect("live slot") as u32;
+        };
+        for (slot, _) in self.due.iter_mut().flatten().chain(self.held.iter_mut()) {
+            renumber(slot);
+        }
+        retain_live(&mut self.buffer, &live);
+        retain_live(&mut self.owner, &live);
+    }
+}
+
+/// Keeps the elements of `items` whose index is in the sorted `live` list.
+fn retain_live<T>(items: &mut Vec<T>, live: &[u32]) {
+    let mut index = 0u32;
+    items.retain(|_| {
+        let kept = live.binary_search(&index).is_ok();
+        index += 1;
+        kept
+    });
 }
 
 /// Runs one node set's protocol hooks against its inbox slots, with faulty
@@ -240,6 +290,7 @@ impl<P: Protocol> Network<P> {
             Moment::Step(r.round),
             round,
         );
+        stats.max_buffered = stats.max_buffered.max(buffer.len());
         let regime = Regime::Synchronous;
         let pending = collect_from(
             &mut r.nodes,
@@ -351,6 +402,7 @@ impl<P: Protocol> Network<P> {
                 let round = Round::new(local);
                 let round_stats =
                     self.deliver(pending, &mut buffer, &mut slots, Moment::Step(local), round);
+                stats.max_buffered = stats.max_buffered.max(buffer.len());
                 reports[instance].transmissions += round_stats.transmissions;
                 reports[instance].deliveries += round_stats.deliveries;
                 pending = self.collect_outgoing(
@@ -457,6 +509,7 @@ impl<P: Protocol> Network<P> {
                 &mut rs,
             );
             st.owner.resize(st.buffer.len(), r.report as u32);
+            stats.max_buffered = stats.max_buffered.max(st.buffer.len());
             reports[r.report].transmissions += rs.transmissions;
         }
         if let Some(r) = st.retiring.as_ref() {
@@ -495,16 +548,18 @@ impl<P: Protocol> Network<P> {
             &mut rs,
         );
         st.owner.resize(st.buffer.len(), st.cur_report as u32);
+        stats.max_buffered = stats.max_buffered.max(st.buffer.len());
         reports[st.cur_report].transmissions += rs.transmissions;
         st.global += 1;
     }
 
     /// The event-scheduled chained loop (asynchronous and partial-synchrony
-    /// regimes): one continuous global step counter, an append-only buffer
-    /// whose slots are stamped with their emitting instance, and per-edge
-    /// FIFO clamps carried across instance boundaries. GST is
-    /// instance-relative: each instance's hold window covers its own first
-    /// `gst` steps and bursts exactly as a one-shot run's would.
+    /// regimes): one continuous global step counter, a buffer whose slots
+    /// are stamped with their emitting instance and compacted at every
+    /// handover, and per-edge FIFO clamps carried across instance
+    /// boundaries. GST is instance-relative: each instance's hold window
+    /// covers its own first `gst` steps and bursts exactly as a one-shot
+    /// run's would.
     fn run_chain_async<A, F>(
         &mut self,
         regime: &Regime,
@@ -573,6 +628,7 @@ impl<P: Protocol> Network<P> {
                         st.due[bucket].push((slot, to));
                     }
                 }
+                st.compact();
                 self.ledger.begin_session();
                 let fresh = next(instance as u64);
                 assert_eq!(
@@ -628,6 +684,7 @@ impl<P: Protocol> Network<P> {
                 &mut rs,
             );
             st.owner.resize(st.buffer.len(), instance as u32);
+            stats.max_buffered = stats.max_buffered.max(st.buffer.len());
             reports[instance].transmissions += rs.transmissions;
 
             loop {
@@ -803,5 +860,40 @@ mod tests {
             assert_eq!(outputs[0], Some(Value::from(k % 2 == 0)), "instance {k}");
         }
         assert_eq!(first, run());
+    }
+
+    #[test]
+    fn chained_buffer_high_water_mark_is_flat_in_chain_length() {
+        // A buffer that kept every transmission of the chain would grow its
+        // high-water mark linearly with the number of instances.
+        let psync = Regime::PartialSync {
+            gst: 3,
+            pre: AdversarialSchedule::holding(&[1]),
+            post: AsyncRegime {
+                scheduler: SchedulerKind::DelayMax,
+                delay: 3,
+                seed: 11,
+            },
+        };
+        let asynchronous = Regime::Asynchronous(AsyncRegime {
+            scheduler: SchedulerKind::EdgeLag,
+            delay: 3,
+            seed: 7,
+        });
+        for regime in [asynchronous, psync] {
+            let mark = |instances: usize| {
+                let mut net = network(6);
+                let (reports, stats) =
+                    net.run_chain(&regime, &mut honest_adversary(), 40, instances, |k| {
+                        echo_nodes(6, k % 2 == 1)
+                    });
+                assert_eq!(reports.len(), instances);
+                assert!(reports.iter().all(|r| r.all_non_faulty_terminated));
+                stats.max_buffered
+            };
+            let short = mark(50);
+            assert!(short > 0);
+            assert_eq!(short, mark(200), "{regime:?}");
+        }
     }
 }

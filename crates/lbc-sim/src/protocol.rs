@@ -170,12 +170,13 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// Iterates `(slot, delivery)` pairs, where `slot` identifies the
-    /// transmission in the round's shared buffer. Every receiver of the same
-    /// broadcast sees the same slot, which is what lets shared-fabric
-    /// consumers cache per-broadcast work by slot for the round (see
-    /// `lbc_model::FloodLedger`). For a [`Inbox::direct`] inbox the slot is
-    /// the position in the slice — only unique within that inbox, so
-    /// slot-keyed caches must verify before trusting an entry.
+    /// transmission in the shared delivery buffer. Every receiver of the
+    /// same broadcast sees the same slot, which is what lets shared-fabric
+    /// consumers resolve a transmission once for all its receivers (see
+    /// `lbc_model::FloodLedger`'s slot tables). Slots are reused: by the
+    /// next round of a per-round buffer, by a chained run's renumbering, and
+    /// for a [`Inbox::direct`] inbox the slot is just the position in the
+    /// slice. Slot-keyed caches must verify an entry before trusting it.
     pub fn iter_indexed(&self) -> impl Iterator<Item = (u32, &'a Delivery<M>)> + use<'a, M> {
         let buffer = self.buffer;
         match self.slots {

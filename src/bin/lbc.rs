@@ -406,9 +406,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
         eprintln!("faulty node {faulty_index} out of range for n = {n}");
         return ExitCode::from(2);
     }
-    // Alternating inputs make the instance non-trivial.
-    let inputs =
-        InputAssignment::from_bits(n.min(64), 0xAAAA_AAAA_AAAA_AAAA & ((1 << n.min(63)) - 1));
+    // Alternating inputs (odd nodes 1) make the instance non-trivial.
+    let inputs = InputAssignment::from_values((0..n).map(|i| Value::from(i % 2 == 1)).collect());
     let faulty = NodeSet::singleton(NodeId::new(faulty_index));
     let mut adversary = strategy.clone().into_adversary();
     let (outcome, trace) = match alg.as_str() {
