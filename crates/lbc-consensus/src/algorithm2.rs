@@ -28,6 +28,30 @@
 //! through the ledger's pair-path memo — they are pure functions of the
 //! (common) communication graph, so every node would otherwise recompute
 //! the same max-flow results.
+//!
+//! # Dense report ids
+//!
+//! Phase 2 is the costliest flood of the workspace: one report stream per
+//! reported phase-1 transmission, each flooded along every path, so a
+//! wheel-graph run resolves millions of distinct report broadcasts. A
+//! report's rule-(ii) key is `(u, Π, observed, observed_path)`. Once
+//! `ReportFlood::validate` has checked it, the key is the same thing as
+//! `(stream, relay, form)`:
+//!
+//! - the stream is `(observed, observed_path)`;
+//! - the relay is the interned `Π‑u`, or `Π` itself when `u` is already
+//!   `Π`'s last node (the retransmission form: a report initiation, whose
+//!   `Π` is `[observed]`, or a faulty node's replay);
+//! - `observed` is the relay's first node, which validation enforces.
+//!
+//! The map back is `u = last(relay)` and `Π = relay` or `parent(relay)` by
+//! the form, so two valid keys share a triple only if they are equal. The
+//! ledger indexes each stream's records by the relay's per-first-node arena
+//! rank and the form bit ([`FloodLedger::resolve_report`]) instead of
+//! hashing the wire key, and hands out record indices in first-seen order,
+//! as a map keyed by the wire key would. Invalid reports get no record.
+//! The stream index that reliable receive reads is a `Vec` indexed by the
+//! ledger's stream id and the value.
 
 use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
@@ -36,7 +60,7 @@ use lbc_graph::{paths, Graph};
 use lbc_model::fx::FxHashMap;
 use lbc_model::{
     report_key, ChannelId, DenseBits, FloodLedger, NodeId, NodeSet, Path, PathArena, PathId,
-    ReportRecord, Round, SharedFloodLedger, SharedPathArena, Value,
+    ResolvedReport, Round, SharedFloodLedger, SharedPathArena, Value,
 };
 use lbc_sim::{Inbox, NodeContext, Outgoing, Protocol};
 
@@ -478,11 +502,11 @@ fn map_outgoing<M, N>(outgoing: Outgoing<M>, wrap: impl Fn(M) -> N) -> Outgoing<
 /// paths. Rule (ii) is applied per `(sender, relay path, observed, observed
 /// transmission path)` key — but the key's validity, relay id and first
 /// value are receiver-independent, so they live **once per execution** in
-/// the ledger's keyed records: the first receiver anywhere validates and
-/// interns, every other receiver's processing is one key lookup plus bit
-/// operations. Per-node state is a [`DenseBits`] bitset over record indices
-/// plus the accepted-record list (this used to be an `FxHashSet` of four-word
-/// keys and an `FxHashMap` of path vectors *per node*).
+/// the ledger's report records under dense ids (see the module docs): the
+/// first receiver of a transmission validates and interns, every other
+/// receiver's processing is one slot read plus bit operations. Per-node
+/// state is a [`DenseBits`] bitset over record indices plus the
+/// accepted-record list.
 #[derive(Debug, Clone, Default)]
 struct ReportFlood {
     /// The report channel, opened on first use.
@@ -509,9 +533,25 @@ struct ReportFlood {
 #[derive(Debug, Clone, Default)]
 struct StreamIndex {
     built: bool,
-    /// `(observed, value, observed_path)` → the interned relay ids the
-    /// report arrived along (the full `observed → me` paths minus `me`).
-    by_stream: FxHashMap<(NodeId, Value, PathId), Vec<PathId>>,
+    /// The interned relay ids each accepted `(stream, value)` report arrived
+    /// along (the full `observed → me` paths minus `me`), at
+    /// [`StreamIndex::position`]. The stream is the ledger's dense id of
+    /// `(observed, observed_path)` ([`FloodLedger::report_stream`]).
+    relays: Vec<Vec<PathId>>,
+}
+
+impl StreamIndex {
+    /// Where `(stream, value)` sits in [`StreamIndex::relays`].
+    fn position(stream: u32, value: Value) -> usize {
+        2 * stream as usize + usize::from(value == Value::One)
+    }
+
+    /// The relays of `(stream, value)`; empty if none was accepted.
+    fn relays_mut(&mut self, stream: u32, value: Value) -> &mut [PathId] {
+        self.relays
+            .get_mut(Self::position(stream, value))
+            .map_or(&mut [][..], Vec::as_mut_slice)
+    }
 }
 
 impl ReportFlood {
@@ -555,21 +595,24 @@ impl ReportFlood {
         }
     }
 
-    /// Test-facing single-message entry point (every message in slot 0).
+    /// Test-facing single-message entry point: `msg` from `from`, delivered
+    /// to `me` in `slot`.
     #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
     fn process(
         &mut self,
         arena: &SharedPathArena,
         ledger: &SharedFloodLedger,
         graph: &Graph,
         me: NodeId,
+        slot: u32,
         from: NodeId,
         msg: &ReportMsg,
     ) -> Option<ReportMsg> {
         let channel = self.channel(ledger);
         let mut arena = arena.borrow_mut();
         let mut ledger = ledger.borrow_mut();
-        self.process_inner(&mut arena, &mut ledger, channel, graph, me, 0, from, msg)
+        self.process_inner(&mut arena, &mut ledger, channel, graph, me, slot, from, msg)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -585,18 +628,13 @@ impl ReportFlood {
         msg: &ReportMsg,
     ) -> Option<ReportMsg> {
         let key = report_key(from, msg.path, msg.observed, msg.observed_path);
-        // Broadcast-once lookup: the first receiver of a slot resolves the
-        // key through the map; everyone else reads the key-verified slot
-        // table (one verified read). A missing record means no receiver
-        // processed this broadcast yet — validate once and publish.
-        let lookup = match ledger.report_lookup_at_slot(channel, slot, &key) {
-            Some(found) => found,
-            None => {
-                let record = Self::validate(arena, &mut self.validate_scratch, graph, from, msg);
-                let index = ledger.insert_keyed(channel, key, record);
-                ledger.cache_slot(channel, slot, key, index)
-            }
-        };
+        // Broadcast-once resolution: the first receiver of a slot validates
+        // and finds the record under its dense id; everyone else reads the
+        // key-verified slot table (one verified read).
+        let scratch = &mut self.validate_scratch;
+        let lookup = ledger.resolve_report(channel, slot, key, || {
+            Self::validate(arena, scratch, graph, from, msg)
+        });
         if !lookup.valid {
             return None;
         }
@@ -627,25 +665,18 @@ impl ReportFlood {
     }
 
     /// The receiver-independent part of report processing: shape checks,
-    /// rule (i), and relay interning. Runs once per distinct broadcast.
+    /// rule (i), and relay interning. Runs once per distinct transmission;
+    /// `None` for an invalid broadcast, otherwise its dense identity.
     fn validate(
         arena: &mut PathArena,
         scratch: &mut Vec<PathId>,
         graph: &Graph,
         from: NodeId,
         msg: &ReportMsg,
-    ) -> ReportRecord {
-        let invalid = ReportRecord {
-            valid: false,
-            value: msg.value,
-            relay: PathId::EMPTY,
-            relay_members_low: 0,
-            observed: msg.observed,
-            observed_path: msg.observed_path,
-        };
+    ) -> Option<ResolvedReport> {
         // The report's relay path must start at the observed node.
         if arena.first(msg.path) != Some(msg.observed) {
-            return invalid;
+            return None;
         }
         // Rule (i): the relay path (including the transmitter) must exist in
         // G. Validation reads the arena's shared graph-validity memo — the
@@ -655,7 +686,7 @@ impl ReportFlood {
         // its last node (a report initiation), otherwise `msg.path‑from`.
         let retransmission = arena.last(msg.path) == Some(from);
         if !validate_path(arena, scratch, graph, msg.path) {
-            return invalid;
+            return None;
         }
         if !retransmission
             && (!graph.contains_node(from)
@@ -664,26 +695,25 @@ impl ReportFlood {
                     .last(msg.path)
                     .is_none_or(|last| !graph.has_edge(last, from)))
         {
-            return invalid;
+            return None;
         }
         let relay = if retransmission {
             msg.path
         } else {
             arena.extended(msg.path, from)
         };
-        ReportRecord {
-            valid: true,
-            value: msg.value,
+        Some(ResolvedReport {
             relay,
+            rank: arena.rank(relay),
+            retransmission,
             relay_members_low: arena
                 .members(relay)
                 .as_words()
                 .first()
                 .copied()
                 .unwrap_or(0),
-            observed: msg.observed,
-            observed_path: msg.observed_path,
-        }
+            value: msg.value,
+        })
     }
 
     /// The stream index, built from the accepted records on the first call
@@ -700,11 +730,11 @@ impl ReportFlood {
             for &index in &self.accepted {
                 let record = ledger.record(channel, index);
                 let accepted_value = self.overrides.get(&index).copied().unwrap_or(record.value);
-                streams
-                    .by_stream
-                    .entry((record.observed, accepted_value, record.observed_path))
-                    .or_default()
-                    .push(record.relay);
+                let position = StreamIndex::position(record.stream, accepted_value);
+                if position >= streams.relays.len() {
+                    streams.relays.resize_with(position + 1, Vec::new);
+                }
+                streams.relays[position].push(record.relay);
             }
         }
         streams
@@ -726,11 +756,25 @@ impl ReportFlood {
         k: usize,
     ) -> bool {
         let mut streams = self.streams(ctx.ledger);
-        let relays = streams
-            .by_stream
-            .get_mut(&(observed, value, observed_path))
-            .map_or(&mut [][..], Vec::as_mut_slice);
+        let relays = match self.stream_id(ctx.ledger, observed, observed_path) {
+            Some(stream) => streams.relays_mut(stream, value),
+            None => &mut [],
+        };
         ctx.arena.borrow().has_internally_disjoint(relays, k)
+    }
+
+    /// The ledger's stream id of `(observed, observed_path)`, if this node's
+    /// channel recorded any report of it.
+    fn stream_id(
+        &self,
+        ledger: &SharedFloodLedger,
+        observed: NodeId,
+        observed_path: PathId,
+    ) -> Option<u32> {
+        let channel = self.channel?;
+        ledger
+            .borrow()
+            .report_stream(channel, observed, observed_path)
     }
 }
 
@@ -813,6 +857,8 @@ impl DecisionFlood {
 mod tests {
     use super::*;
     use lbc_graph::generators;
+    use lbc_model::ReportKey;
+    use proptest::prelude::*;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -848,12 +894,12 @@ mod tests {
         value: Value,
         observed_path: PathId,
     ) -> Vec<PathId> {
+        let mut streams = flood.streams(ledger);
         flood
-            .streams(ledger)
-            .by_stream
-            .get(&(observed, value, observed_path))
-            .cloned()
-            .unwrap_or_default()
+            .stream_id(ledger, observed, observed_path)
+            .map_or_else(Vec::new, |stream| {
+                streams.relays_mut(stream, value).to_vec()
+            })
     }
 
     #[test]
@@ -885,7 +931,7 @@ mod tests {
             path: intern(&arena, &[1]),
         };
         assert!(flood
-            .process(&arena, &ledger, &graph, n(2), n(1), &bad)
+            .process(&arena, &ledger, &graph, n(2), 0, n(1), &bad)
             .is_none());
         // Non-adjacent relay claim: relay path [0] transmitted by node 2
         // (0-2 is not an edge of the 5-cycle).
@@ -896,7 +942,7 @@ mod tests {
             path: intern(&arena, &[0]),
         };
         assert!(flood
-            .process(&arena, &ledger, &graph, n(3), n(2), &not_adjacent)
+            .process(&arena, &ledger, &graph, n(3), 0, n(2), &not_adjacent)
             .is_none());
     }
 
@@ -916,12 +962,12 @@ mod tests {
             path: intern(&arena, &[0]),
         };
         let forward = flood
-            .process(&arena, &ledger, &graph, n(2), n(1), &report)
+            .process(&arena, &ledger, &graph, n(2), 0, n(1), &report)
             .unwrap();
         assert_eq!(arena.resolve(forward.path).nodes(), &[n(0), n(1)]);
         // Duplicate (same sender, relay path, observed, observed-path) is ignored.
         assert!(flood
-            .process(&arena, &ledger, &graph, n(2), n(1), &report)
+            .process(&arena, &ledger, &graph, n(2), 0, n(1), &report)
             .is_none());
         // The stream indexes the relay [0, 1]: full path 0 → 1 → 2.
         let ctx = ctx_at(n(2), &graph, &arena, &ledger);
@@ -952,10 +998,10 @@ mod tests {
             path: intern(&arena, &[1]),
         };
         assert!(at_node2
-            .process(&arena, &ledger, &graph, n(2), n(1), &report)
+            .process(&arena, &ledger, &graph, n(2), 0, n(1), &report)
             .is_some());
         assert!(at_node0
-            .process(&arena, &ledger, &graph, n(0), n(1), &report)
+            .process(&arena, &ledger, &graph, n(0), 0, n(1), &report)
             .is_some());
         // The same shared relay [1] reaches each receiver as its own full
         // path (1 → 2 and 1 → 0).
@@ -964,6 +1010,189 @@ mod tests {
                 stream_relays(flood, &ledger, n(1), Value::One, observed_path),
                 vec![intern(&arena, &[1])]
             );
+        }
+    }
+
+    #[test]
+    fn replayed_reports_are_discarded_by_every_receiver() {
+        // On the 5-cycle node 2 transmits two reports: an initiation about
+        // its own phase-1 transmission (relay [2], heard by 1 and 3) and a
+        // forward of node 1's initiation (relay [1, 2], also heard by 1 and
+        // 3; node 1 drops it by rule (iii)). A faulty node 2 then replays
+        // both, in a later slot and in the same slot of a later round.
+        let graph = generators::cycle(5);
+        let arena = SharedPathArena::new();
+        let ledger = SharedFloodLedger::new();
+        let observed_path = intern(&arena, &[3]);
+        let initiation = ReportMsg {
+            observed: n(2),
+            value: Value::One,
+            observed_path,
+            path: intern(&arena, &[2]),
+        };
+        let forward = ReportMsg {
+            observed: n(1),
+            value: Value::Zero,
+            observed_path,
+            path: intern(&arena, &[1]),
+        };
+        let mut at_1 = ReportFlood::default();
+        let mut at_3 = ReportFlood::default();
+        let mut first_round = Vec::new();
+        for (slot, msg) in [(4, &initiation), (5, &forward)] {
+            for (me, flood) in [(1, &mut at_1), (3, &mut at_3)] {
+                first_round.push(
+                    flood
+                        .process(&arena, &ledger, &graph, n(me), slot, n(2), msg)
+                        .is_some(),
+                );
+            }
+        }
+        assert_eq!(first_round, [true, true, false, true]);
+        let ch = at_1.channel.unwrap();
+        assert_eq!(ledger.borrow().report_count(ch), 2);
+        for slot in [9, 4, 5, 0] {
+            for msg in [&initiation, &forward] {
+                for (me, flood) in [(1, &mut at_1), (3, &mut at_3)] {
+                    assert!(
+                        flood
+                            .process(&arena, &ledger, &graph, n(me), slot, n(2), msg)
+                            .is_none(),
+                        "node {me} accepted a replay in slot {slot}"
+                    );
+                }
+            }
+        }
+        // Replays resolve to the records of the originals.
+        assert_eq!(ledger.borrow().report_count(ch), 2);
+        assert_eq!(at_1.accepted, [0]);
+        assert_eq!(at_3.accepted, [0, 1]);
+    }
+
+    #[test]
+    fn retransmission_and_extension_forms_are_distinct_keys() {
+        // `(u, Π)` and `(u, Π‑u)` of one stream share the relay `Π‑u`: node
+        // 2 forwarding [1] (extension) and replaying [1, 2] (retransmission)
+        // are two broadcasts, and node 3 accepts both.
+        let graph = generators::cycle(5);
+        let arena = SharedPathArena::new();
+        let ledger = SharedFloodLedger::new();
+        let observed_path = intern(&arena, &[0]);
+        let extension = ReportMsg {
+            observed: n(1),
+            value: Value::One,
+            observed_path,
+            path: intern(&arena, &[1]),
+        };
+        let retransmission = ReportMsg {
+            path: intern(&arena, &[1, 2]),
+            ..extension
+        };
+        let mut at_3 = ReportFlood::default();
+        for (slot, msg) in [(0, &extension), (1, &retransmission)] {
+            let forward = at_3
+                .process(&arena, &ledger, &graph, n(3), slot, n(2), msg)
+                .unwrap();
+            assert_eq!(forward.path, intern(&arena, &[1, 2]));
+        }
+        assert_eq!(at_3.accepted, [0, 1]);
+        assert_eq!(
+            stream_relays(&at_3, &ledger, n(1), Value::One, observed_path),
+            vec![intern(&arena, &[1, 2]); 2]
+        );
+    }
+
+    /// The wire validity of a report, decided on materialized paths: the
+    /// oracle the dense-id ledger is checked against.
+    fn report_is_valid(graph: &Graph, from: NodeId, path: &Path, observed: NodeId) -> bool {
+        let nodes = path.nodes();
+        let Some(&last) = nodes.last() else {
+            return false;
+        };
+        let mut relay = nodes.to_vec();
+        if last != from {
+            relay.push(from);
+        }
+        nodes[0] == observed
+            && relay.iter().all(|&v| graph.contains_node(v))
+            && relay.windows(2).all(|w| graph.has_edge(w[0], w[1]))
+            && (1..relay.len()).all(|i| !relay[..i].contains(&relay[i]))
+    }
+
+    proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Report broadcasts get the record indices, in the order, and the
+        /// first values that a reference map keyed by the full wire key
+        /// hands out to the valid ones: replays, both forms of one relay,
+        /// reused slots, invalid shapes and out-of-graph transmitters
+        /// included.
+        #[test]
+        fn dense_report_ids_match_a_keyed_reference(
+            messages in prop::collection::vec(
+                (
+                    0usize..5,
+                    prop::collection::vec(0usize..4, 0..4),
+                    0usize..4,
+                    0usize..6,
+                    0usize..3,
+                    0u32..4,
+                ),
+                1..40,
+            )
+        ) {
+            let graph = generators::paper_fig1a();
+            let arena = SharedPathArena::new();
+            let ledger = SharedFloodLedger::new();
+            let channel = ledger.open(TAG_REPORT, 0);
+            let observed_paths = [PathId::EMPTY, intern(&arena, &[0]), intern(&arena, &[4, 3])];
+            let mut reference: FxHashMap<ReportKey, (u32, Value)> = FxHashMap::default();
+            let mut scratch = Vec::new();
+            for (observed, steps, shape, raw_from, stream, slot) in messages {
+                // A walk in the graph from `observed` (it may revisit a node)…
+                let mut nodes = vec![n(observed)];
+                for step in steps {
+                    let here = *nodes.last().unwrap();
+                    let next: Vec<NodeId> = graph.neighbors(here).collect();
+                    nodes.push(next[step % next.len()]);
+                }
+                let last = *nodes.last().unwrap();
+                // …sent as a retransmission (by its last node), as an
+                // extension (by a neighbor of it), or by any node at all,
+                // possibly with a wrong first node.
+                let from = match shape {
+                    0 => last,
+                    1 => graph.neighbors(last).nth(raw_from % 2).unwrap(),
+                    2 => n(raw_from),
+                    _ => {
+                        nodes[0] = n((observed + 1) % 5);
+                        last
+                    }
+                };
+                let path = Path::from_nodes(nodes);
+                let msg = ReportMsg {
+                    observed: n(observed),
+                    value: Value::from(slot % 2 == 0),
+                    observed_path: observed_paths[stream],
+                    path: arena.intern(&path),
+                };
+                let key = report_key(from, msg.path, msg.observed, msg.observed_path);
+                let lookup = {
+                    let mut arena = arena.borrow_mut();
+                    ledger.borrow_mut().resolve_report(channel, slot, key, || {
+                        ReportFlood::validate(&mut arena, &mut scratch, &graph, from, &msg)
+                    })
+                };
+                let valid = report_is_valid(&graph, from, &path, msg.observed);
+                prop_assert_eq!(lookup.valid, valid);
+                if valid {
+                    let fresh = (reference.len() as u32, msg.value);
+                    let (index, first) = *reference.entry(key).or_insert(fresh);
+                    prop_assert_eq!(lookup.index, index);
+                    prop_assert_eq!(lookup.value, first);
+                }
+            }
+            prop_assert_eq!(ledger.borrow().report_count(channel), reference.len());
         }
     }
 

@@ -92,6 +92,9 @@ struct Entry {
     /// First node of the path (propagated from the root of the trie branch).
     first: NodeId,
     len: u32,
+    /// Dense rank among the entries with the same first node, in interning
+    /// order (0 for the empty entry). See [`PathArena::rank`].
+    rank: u32,
     /// Memoized member bitset: every node on the path.
     members: NodeSet,
     /// Whether the path visits no node twice.
@@ -100,7 +103,7 @@ struct Entry {
 
 /// A prefix-trie arena interning node paths.
 ///
-/// See the [module documentation](self) for the design rationale.
+/// The design rationale is in the module docs of `arena.rs`.
 #[derive(Debug)]
 pub struct PathArena {
     entries: Vec<Entry>,
@@ -113,6 +116,8 @@ pub struct PathArena {
     /// simulated run) — and it is shared by all nodes, so each distinct
     /// path prefix is validated once per execution, not once per node.
     validity: Vec<u8>,
+    /// Entries interned so far per first node: the next rank to hand out.
+    ranks_by_first: Vec<u32>,
 }
 
 impl Default for PathArena {
@@ -131,11 +136,13 @@ impl PathArena {
                 last: NodeId::new(usize::MAX),
                 first: NodeId::new(usize::MAX),
                 len: 0,
+                rank: 0,
                 members: NodeSet::new(),
                 simple: true,
             }],
             children: FxHashMap::default(),
             validity: vec![1], // ⊥ is a path of every graph
+            ranks_by_first: Vec::new(),
         }
     }
 
@@ -154,7 +161,8 @@ impl PathArena {
     ///
     /// O(1) when the extension was seen before (one hash lookup); on first
     /// sight it allocates a single trie entry whose member bitset is the
-    /// parent's plus one bit.
+    /// parent's plus one bit, and hands it the next [`PathArena::rank`] of
+    /// its first node.
     pub fn extended(&mut self, id: PathId, node: NodeId) -> PathId {
         let key = (id.0, node.index());
         if let Some(&child) = self.children.get(&key) {
@@ -171,11 +179,18 @@ impl PathArena {
         members.insert(node);
         let len = parent_entry.len + 1;
         let child = u32::try_from(self.entries.len()).expect("arena overflow: > u32::MAX paths");
+        if first.index() >= self.ranks_by_first.len() {
+            self.ranks_by_first.resize(first.index() + 1, 0);
+        }
+        let next_rank = &mut self.ranks_by_first[first.index()];
+        let rank = *next_rank;
+        *next_rank += 1;
         self.entries.push(Entry {
             parent: id,
             last: node,
             first,
             len,
+            rank,
             members,
             simple,
         });
@@ -256,6 +271,19 @@ impl PathArena {
     pub fn step(&self, id: PathId) -> Option<(PathId, NodeId)> {
         let entry = self.entry(id);
         (entry.len > 0).then_some((entry.parent, entry.last))
+    }
+
+    /// The path's dense rank among the interned paths with the same first
+    /// node: the paths starting at a node `v` get ranks `0, 1, 2, …` in the
+    /// order they were interned. Ids are dense over the whole arena; ranks
+    /// are dense per first node, so a table over the paths out of one node
+    /// (the relays of one report stream, see
+    /// [`crate::FloodLedger::resolve_report`]) can index by rank instead of
+    /// hashing the id. The empty path has rank 0.
+    #[inline]
+    #[must_use]
+    pub fn rank(&self, id: PathId) -> u32 {
+        self.entry(id).rank
     }
 
     /// Whether `node` appears anywhere on the path (flooding rule (iii)).
@@ -804,6 +832,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ranks_are_dense_per_first_node() {
+        let mut arena = PathArena::new();
+        let a = arena.intern(&p(&[0]));
+        let ab = arena.intern(&p(&[0, 1]));
+        let b = arena.intern(&p(&[1]));
+        let ba = arena.intern(&p(&[1, 0]));
+        let abc = arena.intern(&p(&[0, 1, 2]));
+        let far = arena.intern(&p(&[130, 0]));
+        assert_eq!(arena.rank(PathId::EMPTY), 0);
+        assert_eq!([arena.rank(a), arena.rank(ab), arena.rank(abc)], [0, 1, 2]);
+        assert_eq!([arena.rank(b), arena.rank(ba)], [0, 1]);
+        assert_eq!(arena.rank(far), 1, "[130] was interned first");
+        // Re-interning hands out no new rank.
+        assert_eq!(arena.intern(&p(&[0, 1, 2])), abc);
+        let ac = arena.intern(&p(&[0, 2]));
+        assert_eq!(arena.rank(ac), 3);
     }
 
     #[test]

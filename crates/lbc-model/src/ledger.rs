@@ -31,6 +31,41 @@
 //! the execution derives the same name at the same protocol step, so they
 //! all share one channel without coordination. Channels two epochs behind
 //! the newest of their tag are retired and their storage recycled.
+//!
+//! # Dense report ids
+//!
+//! Algorithm 2's phase-2 reports flood one stream per reported phase-1
+//! transmission, along every path, and each distinct broadcast needs a
+//! shared record. Their rule-(ii) key is the wire identity
+//! `(u, Π, observed, observed_path)`: transmitter, relay path so far, and the
+//! reported transmission. A map keyed by it would hold one entry per
+//! broadcast, millions for one wheel-graph run. For a broadcast that passes
+//! validation, though, the key is the same thing as the triple
+//! `(stream, relay, form)`:
+//!
+//! - the **stream** is `(observed, observed_path)`;
+//! - the **relay** is the interned `Π‑u`, or `Π` itself when `u` is
+//!   already `Π`'s last node (a report initiation, or a replay);
+//! - the **form** is which of the two the relay is.
+//!
+//! Forwards: the relay and form are functions of `(u, Π)`. Backwards: `u`
+//! is the relay's last node, `Π` is the relay (retransmission form) or its
+//! parent (extension form), and `observed` must be the relay's first node —
+//! a validity condition. So distinct valid keys map to distinct triples and
+//! back. The relay of a stream starts at `observed`, so
+//! [`crate::PathArena::rank`] (dense among the paths with one first node)
+//! indexes it densely: each stream keeps a `Vec<u32>` of record indices at
+//! `2·rank + form`, and only the small stream table is hashed. The two
+//! forms do collide on the relay — `(u, Π‑u)`, a retransmission, and
+//! `(u, Π)`, an extension, both have relay `Π‑u` — and are distinct keys,
+//! which is what the form bit is for.
+//!
+//! Invalid broadcasts get no record: every receiver of the same
+//! transmission reads the invalid verdict from the slot table, and a replay
+//! in another slot is validated again (validity is a function of the key).
+//! Record indices are handed out in first-seen order of the valid
+//! broadcasts, so per-node state keyed by them is unchanged by the id
+//! scheme. [`FloodLedger::resolve_report`] is the single entry point.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::fmt;
@@ -127,38 +162,26 @@ impl fmt::Display for ChannelId {
     }
 }
 
-/// The shared record of one observation-flood broadcast (Algorithm 2's
-/// phase-2 reports): everything about a wire message that is the same for
-/// every receiver.
-///
-/// The first receiver to process a report pays rule-(i) validation and relay
-/// interning and stores the result here; every other receiver's processing is
-/// one key lookup plus per-node bit operations.
+/// The shared record of one valid observation-flood broadcast (Algorithm 2's
+/// phase-2 reports): everything about it that is the same for every
+/// receiver, stored once per execution. See the module docs, "Dense report
+/// ids".
 #[derive(Debug, Clone, Copy)]
 pub struct ReportRecord {
-    /// Whether the message passed the receiver-independent validity checks
-    /// (rule (i) plus the report-shape checks). Invalid broadcasts are
-    /// recorded too, so repeat receivers reject them with one lookup.
-    pub valid: bool,
+    /// The report's relay path *including* the transmitter.
+    pub relay: PathId,
+    /// The channel's dense id of the reported phase-1 transmission
+    /// `(observed, observed_path)`; see [`FloodLedger::report_stream`].
+    pub stream: u32,
     /// The first value this broadcast delivered (every receiver sees the
     /// same one under local broadcast).
     pub value: Value,
-    /// The report's relay path *including* the transmitter.
-    pub relay: PathId,
-    /// The first 64 bits of the relay path's member bitset, memoized so the
-    /// per-receiver rule-(iii) check (`me ∈ relay?`) is a register test for
-    /// node indices below 64 instead of an arena pointer chase.
-    pub relay_members_low: u64,
-    /// The node whose phase-1 transmission is being reported.
-    pub observed: NodeId,
-    /// The path annotation of the observed transmission.
-    pub observed_path: PathId,
 }
 
 /// Rule-(ii) key of an observation-flood broadcast — the wire identity
 /// `(transmitter, relay-path-so-far, observed, observed_path)` packed into
-/// two words (see [`report_key`]), so the ledger's keyed map hashes two
-/// machine words instead of four.
+/// two words (see [`report_key`]). The slot tables verify entries against it;
+/// its second word alone names the report's stream.
 pub type ReportKey = (u64, u64);
 
 /// Packs an observation-flood wire identity into a [`ReportKey`].
@@ -177,8 +200,93 @@ pub fn report_key(
     debug_assert!(observed.index() <= u32::MAX as usize);
     (
         ((from.index() as u64) << 32) | path.index() as u64,
-        ((observed.index() as u64) << 32) | observed_path.index() as u64,
+        stream_key(observed, observed_path),
     )
+}
+
+/// The second word of a [`ReportKey`]: the reported phase-1 transmission.
+#[inline]
+fn stream_key(observed: NodeId, observed_path: PathId) -> u64 {
+    ((observed.index() as u64) << 32) | observed_path.index() as u64
+}
+
+/// The receiver-independent facts of a report broadcast that passed
+/// validation, as the caller's resolver hands them to
+/// [`FloodLedger::resolve_report`]. Together with the key's stream they are
+/// the broadcast's dense identity `(stream, relay, form)`.
+#[derive(Debug, Clone, Copy)]
+pub struct ResolvedReport {
+    /// The interned relay path: `Π‑u`, or `Π` itself when the transmitter
+    /// `u` is already `Π`'s last node.
+    pub relay: PathId,
+    /// [`crate::PathArena::rank`] of `relay`.
+    pub rank: u32,
+    /// Whether `relay` is `Π` itself (the retransmission form).
+    pub retransmission: bool,
+    /// First 64 bits of the relay's member bitset.
+    pub relay_members_low: u64,
+    /// The value the broadcast carried.
+    pub value: Value,
+}
+
+/// The valid report broadcasts of one channel, under dense ids.
+#[derive(Debug, Default)]
+struct ReportStore {
+    /// Stream key (see [`stream_key`]) → dense stream id.
+    streams: FxHashMap<u64, u32>,
+    /// Per stream, the record index + 1 of each recorded broadcast at
+    /// `2·rank + form` (0 = unrecorded).
+    relays: Vec<Vec<u32>>,
+    /// The records, densely indexed in first-seen order.
+    records: Vec<ReportRecord>,
+}
+
+impl ReportStore {
+    /// The lookup of a resolved broadcast of stream `stream_key`, recording
+    /// it if it is new.
+    fn record(&mut self, stream_key: u64, resolved: ResolvedReport) -> ReportLookup {
+        let fresh = u32::try_from(self.relays.len()).expect("ledger overflow: > u32::MAX streams");
+        let stream = *self.streams.entry(stream_key).or_insert(fresh);
+        if stream == fresh {
+            self.relays.push(Vec::new());
+        }
+        let relays = &mut self.relays[stream as usize];
+        let position = 2 * resolved.rank as usize + usize::from(resolved.retransmission);
+        if position >= relays.len() {
+            // Geometric, like the capacity: a stream's relays mostly arrive
+            // in rank order, so growing to exactly `position + 1` would
+            // resize and zero-fill on nearly every new record.
+            relays.resize((position + 1).max(2 * relays.len()), 0);
+        }
+        let index = match relays[position] {
+            0 => {
+                let stored = u32::try_from(self.records.len() + 1)
+                    .expect("ledger overflow: > u32::MAX records");
+                self.records.push(ReportRecord {
+                    relay: resolved.relay,
+                    stream,
+                    value: resolved.value,
+                });
+                relays[position] = stored;
+                stored - 1
+            }
+            stored => stored - 1,
+        };
+        let record = self.records[index as usize];
+        ReportLookup {
+            index,
+            valid: true,
+            value: record.value,
+            relay: record.relay,
+            relay_members_low: resolved.relay_members_low,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.streams.clear();
+        self.relays.clear();
+        self.records.clear();
+    }
 }
 
 #[derive(Debug, Default)]
@@ -186,10 +294,8 @@ struct Channel {
     /// Relay-id-indexed first values for floods whose rule-(ii) key is the
     /// relay path itself (`Π‑sender`): 0 = unrecorded, else `value + 1`.
     relay_first: Vec<u8>,
-    /// Key → record index for observation floods (wider rule-(ii) keys).
-    keyed: FxHashMap<ReportKey, u32>,
-    /// The keyed records, densely indexed.
-    records: Vec<ReportRecord>,
+    /// The valid observation-flood broadcasts (wider rule-(ii) keys).
+    reports: ReportStore,
     /// Per-transmission resolutions of value floods, keyed by
     /// [`flood_key`].
     relay_slots: SlotTable<u64, RelayLookup>,
@@ -210,8 +316,12 @@ struct Channel {
 /// a re-resolution, never yield a wrong answer. That is sound because what a
 /// table stores is a function of the key and the channel alone.
 ///
-/// Slots are stored relative to the lowest slot the table has seen, so its
-/// length spans the channel's own transmissions, not the whole buffer.
+/// Slots are stored relative to a base at or below the lowest slot the table
+/// has seen, so its length spans about the channel's own transmissions, not
+/// the whole buffer. A slot below the base moves the base down by at least
+/// the table's current length (never below 0): the table grows downwards
+/// geometrically, so the moves cost amortized O(1) per entry, however often
+/// a round's buffer restarts below the slots a channel used before.
 #[derive(Debug, Clone)]
 struct SlotTable<K, V> {
     base: u32,
@@ -241,9 +351,11 @@ impl<K: Copy + Eq, V: Copy> SlotTable<K, V> {
         if self.entries.is_empty() {
             self.base = slot;
         } else if slot < self.base {
-            let shift = (self.base - slot) as usize;
+            let span = u32::try_from(self.entries.len()).unwrap_or(u32::MAX);
+            let base = slot.min(self.base.saturating_sub(span));
+            let shift = (self.base - base) as usize;
             self.entries.splice(0..0, std::iter::repeat_n(None, shift));
-            self.base = slot;
+            self.base = base;
         }
         let offset = (slot - self.base) as usize;
         if offset >= self.entries.len() {
@@ -317,11 +429,12 @@ pub fn flood_key(from: NodeId, path: PathId, value: Value) -> u64 {
 }
 
 /// The receiver-independent facts of one observation-flood broadcast, as
-/// returned by [`FloodLedger::report_lookup_at_slot`]: everything a receiver
-/// needs to apply rules (ii)–(iv) without touching the record table.
+/// returned by [`FloodLedger::resolve_report`]: everything a receiver needs
+/// to apply rules (ii)–(iv) without touching the record table.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReportLookup {
-    /// Dense record index (for per-node bitsets and the accepted list).
+    /// Dense record index (for per-node bitsets and the accepted list);
+    /// meaningless when the broadcast is invalid.
     pub index: u32,
     /// Whether the broadcast passed the receiver-independent checks.
     pub valid: bool,
@@ -335,15 +448,14 @@ pub struct ReportLookup {
 }
 
 impl ReportLookup {
-    fn of(index: u32, record: &ReportRecord) -> Self {
-        ReportLookup {
-            index,
-            valid: record.valid,
-            value: record.value,
-            relay: record.relay,
-            relay_members_low: record.relay_members_low,
-        }
-    }
+    /// The lookup of a broadcast that failed validation.
+    pub const INVALID: ReportLookup = ReportLookup {
+        index: 0,
+        valid: false,
+        value: Value::Zero,
+        relay: PathId::EMPTY,
+        relay_members_low: 0,
+    };
 
     /// Whether `node` is on the relay path, via the memoized low word;
     /// `fallback` answers for node indices ≥ 64.
@@ -357,8 +469,7 @@ impl ReportLookup {
 impl Channel {
     fn clear(&mut self) {
         self.relay_first.clear();
-        self.keyed.clear();
-        self.records.clear();
+        self.reports.clear();
         self.relay_slots.clear();
         self.report_slots.clear();
     }
@@ -393,7 +504,8 @@ pub enum ChannelEvent {
     },
 }
 
-/// The execution-wide flood ledger. See the [module docs](self).
+/// The execution-wide flood ledger. The design notes (sharing, channels,
+/// dense report ids) are in the module docs of `ledger.rs`.
 ///
 /// Like the [`crate::PathArena`], one ledger exists per simulated execution
 /// and is shared by every node through the simulator's node context
@@ -597,14 +709,6 @@ impl FloodLedger {
             .map(decode)
     }
 
-    /// Looks up the record of an observation-flood key.
-    #[must_use]
-    pub fn keyed_record(&self, channel: ChannelId, key: &ReportKey) -> Option<(u32, ReportRecord)> {
-        let channel = &self.channels[channel.0 as usize];
-        let index = *channel.keyed.get(key)?;
-        Some((index, channel.records[index as usize]))
-    }
-
     /// The resolution a previous receiver stored for the value-flood
     /// transmission in `slot`, if its key is `key` (see [`flood_key`]).
     #[inline]
@@ -634,69 +738,62 @@ impl FloodLedger {
             .put(slot, key, lookup);
     }
 
-    /// [`FloodLedger::keyed_record`] accelerated by the slot table: if a
-    /// previous receiver already resolved the broadcast in `slot`, the
-    /// lookup is one verified read. On a miss the underlying map answers and
-    /// the slot is (re)filled.
-    #[must_use]
-    pub fn report_lookup_at_slot(
-        &mut self,
-        channel: ChannelId,
-        slot: u32,
-        key: &ReportKey,
-    ) -> Option<ReportLookup> {
-        let slots = &self.channels[channel.0 as usize];
-        if let Some(lookup) = slots.report_slots.get(slot, key) {
-            return Some(lookup);
-        }
-        let index = *slots.keyed.get(key)?;
-        Some(self.cache_slot(channel, slot, *key, index))
-    }
-
-    /// Stores the record at `index` in the slot table and returns its
-    /// lookup view. The single fill path for both the first receiver (after
-    /// [`FloodLedger::insert_keyed`]) and repeat receivers whose slot was
-    /// taken by another transmission.
-    pub fn cache_slot(
+    /// Resolves the report broadcast with wire key `key` in `slot` to its
+    /// shared record — the single entry point of the observation floods.
+    ///
+    /// A previous receiver of the same transmission left the answer in the
+    /// key-verified slot table: one read. Otherwise `resolve` validates the
+    /// broadcast (`None`: invalid) and the ledger finds or creates its
+    /// record under the dense id `(stream, 2·rank + form)` — no hash of the
+    /// wire key; see the module docs, "Dense report ids". Valid broadcasts
+    /// get record indices in first-seen order; invalid ones get no record,
+    /// only the slot entry that serves the transmission's other receivers.
+    pub fn resolve_report(
         &mut self,
         channel: ChannelId,
         slot: u32,
         key: ReportKey,
-        index: u32,
+        resolve: impl FnOnce() -> Option<ResolvedReport>,
     ) -> ReportLookup {
         let channel = &mut self.channels[channel.0 as usize];
-        let lookup = ReportLookup::of(index, &channel.records[index as usize]);
+        if let Some(lookup) = channel.report_slots.get(slot, &key) {
+            return lookup;
+        }
+        let lookup = match resolve() {
+            Some(resolved) => channel.reports.record(key.1, resolved),
+            None => ReportLookup::INVALID,
+        };
         channel.report_slots.put(slot, key, lookup);
         lookup
     }
 
-    /// Inserts the record for an observation-flood key (first receiver
-    /// only); returns its dense index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key was already recorded — callers must look it up
-    /// first.
-    pub fn insert_keyed(
-        &mut self,
-        channel: ChannelId,
-        key: ReportKey,
-        record: ReportRecord,
-    ) -> u32 {
-        let channel = &mut self.channels[channel.0 as usize];
-        let index =
-            u32::try_from(channel.records.len()).expect("ledger overflow: > u32::MAX records");
-        let previous = channel.keyed.insert(key, index);
-        assert!(previous.is_none(), "keyed broadcast recorded twice");
-        channel.records.push(record);
-        index
-    }
-
     /// The record at a dense index previously returned by
-    /// [`FloodLedger::keyed_record`] / [`FloodLedger::insert_keyed`].
+    /// [`FloodLedger::resolve_report`].
     #[must_use]
     pub fn record(&self, channel: ChannelId, index: u32) -> ReportRecord {
-        self.channels[channel.0 as usize].records[index as usize]
+        self.channels[channel.0 as usize].reports.records[index as usize]
+    }
+
+    /// The stream id of the phase-1 transmission `(observed, observed_path)`,
+    /// if any valid report of it was recorded on the channel.
+    #[must_use]
+    pub fn report_stream(
+        &self,
+        channel: ChannelId,
+        observed: NodeId,
+        observed_path: PathId,
+    ) -> Option<u32> {
+        self.channels[channel.0 as usize]
+            .reports
+            .streams
+            .get(&stream_key(observed, observed_path))
+            .copied()
+    }
+
+    /// Number of report records on the channel.
+    #[must_use]
+    pub fn report_count(&self, channel: ChannelId) -> usize {
+        self.channels[channel.0 as usize].reports.records.len()
     }
 
     /// The memoized disjoint-path plan for a node pair, if one was computed.
@@ -917,61 +1014,72 @@ mod tests {
         assert!(ledger.allocated_channels() <= 3);
     }
 
-    #[test]
-    fn keyed_records_roundtrip() {
-        let mut ledger = FloodLedger::new();
-        let ch = ledger.open(1, 0);
-        let key: ReportKey = report_key(n(2), pid(4), n(0), pid(1));
-        assert!(ledger.keyed_record(ch, &key).is_none());
-        let record = ReportRecord {
-            valid: true,
-            value: Value::Zero,
-            relay: pid(7),
-            relay_members_low: 0b101,
-            observed: n(0),
-            observed_path: pid(1),
-        };
-        let index = ledger.insert_keyed(ch, key, record);
-        let (found_index, found) = ledger.keyed_record(ch, &key).unwrap();
-        assert_eq!(found_index, index);
-        assert!(found.valid);
-        assert_eq!(found.value, Value::Zero);
-        assert_eq!(found.relay, pid(7));
-        assert_eq!(ledger.record(ch, index).observed, n(0));
+    fn resolved(relay: usize, rank: u32, retransmission: bool, value: Value) -> ResolvedReport {
+        ResolvedReport {
+            relay: pid(relay),
+            rank,
+            retransmission,
+            relay_members_low: 0b10,
+            value,
+        }
     }
 
     #[test]
-    fn report_slots_hit_and_verify() {
+    fn resolve_report_records_once_and_verifies_slots() {
         let mut ledger = FloodLedger::new();
         let ch = ledger.open(1, 0);
         let key_a = report_key(n(1), pid(2), n(0), pid(1));
         let key_b = report_key(n(3), pid(2), n(0), pid(1));
-        let record = ReportRecord {
-            valid: true,
-            value: Value::One,
-            relay: pid(5),
-            relay_members_low: 0b10,
-            observed: n(0),
-            observed_path: pid(1),
-        };
-        let index = ledger.insert_keyed(ch, key_a, record);
-        // First receiver fills slot 7.
-        let first = ledger.report_lookup_at_slot(ch, 7, &key_a).unwrap();
-        assert_eq!(first.index, index);
+        // First receiver of slot 7 resolves and records.
+        let first = ledger.resolve_report(ch, 7, key_a, || Some(resolved(5, 3, false, Value::One)));
+        assert!(first.valid);
+        assert_eq!(first.index, 0);
         assert_eq!(first.relay, pid(5));
         assert_eq!(first.relay_members_low, 0b10);
-        // Same slot, same key: a hit.
-        assert_eq!(
-            ledger.report_lookup_at_slot(ch, 7, &key_a).unwrap().index,
-            index
-        );
-        // A colliding slot with an unrecorded key must not be trusted.
-        assert!(ledger.report_lookup_at_slot(ch, 7, &key_b).is_none());
-        // A slot below the first one seen still resolves through the map.
-        assert_eq!(
-            ledger.report_lookup_at_slot(ch, 2, &key_a).unwrap().index,
-            index
-        );
+        // Same slot, same key: a hit, the resolver is not consulted.
+        let again = ledger.resolve_report(ch, 7, key_a, || unreachable!("slot hit"));
+        assert_eq!(again.index, 0);
+        // Another slot re-resolves to the same record and keeps its first
+        // value.
+        let replay =
+            ledger.resolve_report(ch, 2, key_a, || Some(resolved(5, 3, false, Value::Zero)));
+        assert_eq!((replay.index, replay.value), (0, Value::One));
+        // A colliding slot with another key is not trusted; an invalid
+        // broadcast gets no record.
+        let invalid = ledger.resolve_report(ch, 7, key_b, || None);
+        assert!(!invalid.valid);
+        assert!(!ledger.resolve_report(ch, 7, key_b, || unreachable!()).valid);
+        assert_eq!(ledger.report_count(ch), 1);
+        let record = ledger.record(ch, 0);
+        assert_eq!(record.relay, pid(5));
+        assert_eq!(Some(record.stream), ledger.report_stream(ch, n(0), pid(1)));
+        assert_eq!(ledger.report_stream(ch, n(0), pid(2)), None);
+    }
+
+    #[test]
+    fn report_forms_and_streams_get_distinct_records() {
+        let mut ledger = FloodLedger::new();
+        let ch = ledger.open(1, 0);
+        // Relay 5 (rank 3) in both forms, then in a second stream.
+        let extension = report_key(n(1), pid(4), n(0), pid(1));
+        let retransmission = report_key(n(1), pid(5), n(0), pid(1));
+        let other_stream = report_key(n(1), pid(4), n(0), pid(9));
+        let a = ledger.resolve_report(ch, 0, extension, || Some(resolved(5, 3, false, Value::One)));
+        let b = ledger.resolve_report(ch, 1, retransmission, || {
+            Some(resolved(5, 3, true, Value::One))
+        });
+        let c = ledger.resolve_report(ch, 2, other_stream, || {
+            Some(resolved(5, 3, false, Value::One))
+        });
+        assert_eq!([a.index, b.index, c.index], [0, 1, 2]);
+        assert_eq!(ledger.record(ch, 0).stream, ledger.record(ch, 1).stream);
+        assert_ne!(ledger.record(ch, 0).stream, ledger.record(ch, 2).stream);
+        // A recycled channel starts with no streams or records.
+        let _ = ledger.open(1, 1);
+        let recycled = ledger.open(1, 2);
+        assert_eq!(recycled, ch);
+        assert_eq!(ledger.report_count(recycled), 0);
+        assert_eq!(ledger.report_stream(recycled, n(0), pid(1)), None);
     }
 
     #[test]
@@ -1004,11 +1112,36 @@ mod tests {
         ledger.cache_relay_slot(ch, 4, key, RelayLookup::INVALID);
         assert!(!ledger.relay_lookup_at_slot(ch, 4, key).unwrap().valid);
         assert!(ledger.relay_lookup_at_slot(ch, 10, key).unwrap().valid);
+        ledger.cache_relay_slot(ch, 0, key, lookup);
+        for slot in [0, 4, 10] {
+            assert!(ledger.relay_lookup_at_slot(ch, slot, key).is_some());
+        }
         // A recycled channel starts with an empty table.
         let _ = ledger.open(0, 1);
         let recycled = ledger.open(0, 2);
         assert_eq!(recycled, ch);
         assert!(ledger.relay_lookup_at_slot(recycled, 10, key).is_none());
+    }
+
+    #[test]
+    fn slot_tables_rebase_geometrically() {
+        // Slots arriving in descending order, as when each round's buffer
+        // restarts below the slots a channel used before: every entry stays
+        // readable, and the base moves a logarithmic number of times, not
+        // once per slot.
+        let mut table: SlotTable<u64, u32> = SlotTable::default();
+        let mut rebases = 0;
+        for slot in (0..1024u32).rev() {
+            let base = table.base;
+            table.put(slot, u64::from(slot), slot);
+            rebases += usize::from(table.base != base);
+            assert!(table.base <= slot);
+        }
+        assert!(rebases <= 12, "{rebases} rebases");
+        assert_eq!(table.entries.len(), 1024);
+        for slot in 0..1024u32 {
+            assert_eq!(table.get(slot, &u64::from(slot)), Some(slot));
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use ids::{NodeId, Round};
 pub use input::InputAssignment;
 pub use ledger::{
     flood_key, report_key, ChannelEvent, ChannelId, DenseBits, FloodLedger, RelayLookup, ReportKey,
-    ReportLookup, ReportRecord, SharedFloodLedger,
+    ReportLookup, ReportRecord, ResolvedReport, SharedFloodLedger,
 };
 pub use nodeset::NodeSet;
 pub use outcome::{ConsensusOutcome, Verdict};

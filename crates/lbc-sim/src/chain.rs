@@ -223,7 +223,7 @@ impl<P: Protocol> Network<P> {
     ///
     /// Each instance gets at most `max_steps_per_instance` steps. Instance
     /// `k + 1` starts while instance `k`'s flood tail drains (see the
-    /// [module docs](self) for the isolation argument); the arena and the
+    /// module docs of `chain.rs` for the isolation argument); the arena and the
     /// ledger's pair-path memos stay warm across instances.
     ///
     /// # Panics

@@ -345,9 +345,24 @@ fn cmd_check(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     let Ok(f) = f.parse::<usize>() else {
-        return usage();
+        eprintln!("invalid f: {f} (expected a non-negative integer)");
+        return ExitCode::from(2);
     };
-    let t: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0);
+    let t = match args.get(2).map(|t| t.parse::<usize>()) {
+        None => 0,
+        Some(Ok(t)) if t <= f => t,
+        Some(Ok(t)) => {
+            eprintln!("invalid t: {t} exceeds f = {f} (the hybrid model has t ≤ f equivocators)");
+            return ExitCode::from(2);
+        }
+        Some(Err(_)) => {
+            eprintln!("invalid t: {} (expected a non-negative integer)", args[2]);
+            return ExitCode::from(2);
+        }
+    };
+    if args.len() > 3 {
+        return usage();
+    }
     println!(
         "graph {graph_name}: n = {}, min degree = {}, vertex connectivity = {}",
         graph.node_count(),
@@ -363,15 +378,17 @@ fn cmd_check(args: &[String]) -> ExitCode {
         conditions::efficient_algorithm_applicable(&graph, f)
     );
     println!(
+        "  note: Algorithm 2 does not cover omission faults \
+         (see EXPERIMENTS.md, \"the Appendix C omission gap\")"
+    );
+    println!(
         "point-to-point    (f = {f}):        {}",
         conditions::point_to_point_feasible(&graph, f)
     );
-    if t <= f {
-        println!(
-            "hybrid (f = {f}, t = {t}):            {}",
-            conditions::hybrid_feasible(&graph, f, t)
-        );
-    }
+    println!(
+        "hybrid (f = {f}, t = {t}):            {}",
+        conditions::hybrid_feasible(&graph, f, t)
+    );
     println!(
         "max tolerable f: local broadcast = {}, point-to-point = {}",
         conditions::max_f_local_broadcast(&graph),
